@@ -32,7 +32,7 @@ import configparser
 import math
 import re
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .decomp import build_decomposition, format_decomposition, refine_bounds
 from .embed import build_embedding, integrate_embedding
 from .errors import (BlowupError, ConfigError, NonConvergenceError, ParseError,
                      ToolkitError, UnboundedDerivativeError)
-from .expr import evaluate
 from .interval import BoxDomain, Interval
 from .jacbounds import VectorField, classify, jacobian_bounds
 from .jordan import DEFAULT_MAX_CELLS, ScalarFunction, jordan_split, total_variation
@@ -262,10 +261,10 @@ def _grid_minmax(field: VectorField, box: BoxDomain, total: int = 10000):
     per_axis = max(2, int(round(total ** (1.0 / box.n))))
     axes = [np.linspace(iv.lo, iv.hi, per_axis) for iv in box.intervals]
     mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    pts = np.stack([m.ravel() for m in mesh], axis=1).tolist()
     lows, highs = [], []
-    for comp in field.components:
-        vals = np.array([evaluate(comp, p) for p in pts])
+    for comp in field.compiled:
+        vals = np.array([comp(p) for p in pts])
         lows.append(float(vals.min()))
         highs.append(float(vals.max()))
     return lows, highs

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, UnboundedDerivativeError
-from .expr import evaluate, to_string
+from .errors import DimensionError, EvalError, UnboundedDerivativeError
+from .expr import to_string
 from .interval import BoxDomain, Interval, hull, intersect
 from .jacbounds import JacobianBounds, SignCase, VectorField, classify, jacobian_bounds
 
@@ -93,20 +94,61 @@ def build_decomposition(jb: JacobianBounds, epsilon: float = 0.0) -> Decompositi
     return DecompositionSpec(use_first, alpha, beta, float(epsilon))
 
 
+def decomposition_kernel(spec: DecompositionSpec,
+                         f: VectorField) -> Callable[[list[float], bool], list[float]]:
+    """The float-list kernel of g behind eval_decomposition, bound_box and the embedding.
+
+    kernel(s, both) takes s = x + y, a list of 2n floats, and returns the list
+    [g_1(x, y), .., g_m(x, y)], followed by [g_1(y, x), .., g_m(y, x)] when
+    both is true.  Each f_i reads its arguments straight from s through the
+    slots its selectors pick, and x - y and the offsets (alpha_i - beta_i) .
+    (x - y) are computed once; g(y, x) uses the negated offsets.  Raises
+    EvalError when an entry of s or a value of f_i is not finite.
+    """
+    if spec.m != f.m or spec.n != f.n:
+        raise DimensionError("decomposition shape does not match the field")
+    n = f.n
+    rows = []
+    for i in range(f.m):
+        first = spec.use_first[i].tolist()
+        coef = (spec.alpha[i] - spec.beta[i]).tolist()
+        rows.append((f.lowered(i, tuple(j if first[j] else n + j for j in range(n))),
+                     f.lowered(i, tuple(n + j if first[j] else j for j in range(n))),
+                     tuple((j, c) for j, c in enumerate(coef) if c != 0.0)))
+    isfinite = math.isfinite
+
+    def kernel(s: list[float], both: bool) -> list[float]:
+        if not all(map(isfinite, s)):
+            raise EvalError("point entries must be finite")
+        diff = [s[j] - s[n + j] for j in range(n)]
+        out, offsets = [], []
+        for fx, _, terms in rows:
+            v = fx(s)
+            if not isfinite(v):
+                raise EvalError("non-finite value during evaluation")
+            off = 0.0
+            for j, c in terms:
+                off += c * diff[j]
+            offsets.append(off)
+            out.append(v + off)
+        if both:
+            for (_, fy, _), off in zip(rows, offsets):
+                v = fy(s)
+                if not isfinite(v):
+                    raise EvalError("non-finite value during evaluation")
+                out.append(v + (0.0 - off))  # 0.0 - off: the sum over y - x, signed zero included
+        return out
+
+    return kernel
+
+
 def eval_decomposition(spec: DecompositionSpec, f: VectorField, x, y) -> np.ndarray:
-    """g(x, y) componentwise."""
+    """g(x, y) componentwise, by one call of decomposition_kernel."""
     xa = np.asarray(x, dtype=float).reshape(-1)
     ya = np.asarray(y, dtype=float).reshape(-1)
     if xa.size != f.n or ya.size != f.n:
         raise DimensionError(f"arguments must have {f.n} entries")
-    if spec.m != f.m or spec.n != f.n:
-        raise DimensionError("decomposition shape does not match the field")
-    diff = xa - ya
-    out = np.empty(f.m)
-    for i, comp in enumerate(f.components):
-        z = np.where(spec.use_first[i], xa, ya)
-        out[i] = evaluate(comp, z) + float((spec.alpha[i] - spec.beta[i]) @ diff)
-    return out
+    return np.array(decomposition_kernel(spec, f)(xa.tolist() + ya.tolist(), False))
 
 
 def bound_box(spec: DecompositionSpec, f: VectorField, box: BoxDomain) -> list[Interval]:
@@ -115,11 +157,11 @@ def bound_box(spec: DecompositionSpec, f: VectorField, box: BoxDomain) -> list[I
     The decomposition must have been built from an enclosure valid on this
     box (or a superset); that is the caller's obligation.
     """
-    lo_c = box.lower_corner()
-    hi_c = box.upper_corner()
-    g_lo = eval_decomposition(spec, f, lo_c, hi_c)
-    g_hi = eval_decomposition(spec, f, hi_c, lo_c)
-    return [Interval(float(a), float(b)) for a, b in zip(g_lo, g_hi)]
+    if box.n != f.n:
+        raise DimensionError(f"arguments must have {f.n} entries")
+    g = decomposition_kernel(spec, f)(
+        box.lower_corner().tolist() + box.upper_corner().tolist(), True)
+    return [Interval(a, b) for a, b in zip(g[:f.m], g[f.m:])]
 
 
 def _depth0(f: VectorField, box: BoxDomain, epsilon: float, slack: float) -> list[Interval]:

@@ -5,17 +5,23 @@ state and makes the flow order-preserving; integrating the stacked system
 from (box lower corner, box upper corner) then brackets every trajectory of
 the original field started inside the box, as long as the decomposition's
 enclosure stays valid along the way.
+
+The right-hand side returns g(x, y) and g(y, x) from one call of
+decomp.decomposition_kernel, which works on plain float lists: each RK4
+stage converts the state once, checks it once and computes x - y and the
+offsets once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import BlowupError, DimensionError, EvalError
-from .decomp import DecompositionSpec, eval_decomposition
+from .decomp import DecompositionSpec, decomposition_kernel
 from .interval import leq_orthant
 from .jacbounds import VectorField
 
@@ -34,12 +40,16 @@ class EmbeddingSystem:
     def n(self) -> int:
         return self.field.n
 
+    @cached_property
+    def _kernel(self):
+        return decomposition_kernel(self.spec, self.field)
+
     def rhs(self, state: np.ndarray) -> np.ndarray:
-        n = self.field.n
-        x, y = state[:n], state[n:]
-        gx = eval_decomposition(self.spec, self.field, x, y)
-        gy = eval_decomposition(self.spec, self.field, y, x)
-        return np.concatenate([gx, gy])
+        """(g(x, y), g(y, x)) for state = (x, y)."""
+        s = np.asarray(state, dtype=float).reshape(-1).tolist()
+        if len(s) != 2 * self.field.n:
+            raise DimensionError(f"arguments must have {self.field.n} entries")
+        return np.array(self._kernel(s, True))
 
 
 def build_embedding(f: VectorField, spec: DecompositionSpec) -> EmbeddingSystem:

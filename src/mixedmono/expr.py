@@ -324,75 +324,131 @@ def is_smooth(e: Expr) -> bool:
 
 # -- evaluation ----------------------------------------------------------------
 
+_isfinite = math.isfinite
+
+
 def evaluate(e: Expr, point: Sequence[float]) -> float:
-    """Evaluate at a finite point (index k of the point is variable x{k+1})."""
-    p = np.asarray(point, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(p)):
-        raise EvalError("point entries must be finite")
-    v = _ev(e, p)
-    if not math.isfinite(v):
-        raise EvalError("non-finite value during evaluation")
-    return v
+    """Evaluate at a finite point (index k of the point is variable x{k+1}).
+
+    Compiles e on every call; code that evaluates one tree many times keeps
+    the closure of compile_expr instead.
+    """
+    return compile_expr(e)(np.asarray(point, dtype=float).reshape(-1).tolist())
 
 
-def _ev(e: Expr, p: np.ndarray) -> float:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        if e.index > p.size:
-            raise DimensionError(f"variable x{e.index} but the point has {p.size} entries")
-        return float(p[e.index - 1])
-    if isinstance(e, Power):
-        base = _ev(e.base, p)
-        try:
-            v = _fpow_scalar(base, e.exponent)
-        except ZeroDivisionError:
-            raise EvalError("zero raised to a negative power") from None
+def compile_expr(e: Expr) -> Callable[[Sequence[float]], float]:
+    """Lower e once into a closure over a list of floats (x{k+1} is entry k).
+
+    The closure raises EvalError for a non-finite point entry, division by
+    zero, zero to a negative power, power or exp overflow and a non-finite
+    value, and DimensionError when the point has too few entries.
+    """
+    run = lower(e)
+
+    def compiled(p: Sequence[float]) -> float:
+        if not all(map(_isfinite, p)):
+            raise EvalError("point entries must be finite")
+        v = run(p)
+        if not _isfinite(v):
+            raise EvalError("non-finite value during evaluation")
         return v
-    if isinstance(e, Unary):
-        u = _ev(e.arg, p)
-        if e.op == "neg":
-            return -u
-        if e.op == "sin":
-            return math.sin(u)
-        if e.op == "cos":
-            return math.cos(u)
-        if e.op == "exp":
+
+    return compiled
+
+
+def lower(e: Expr, slots: Sequence[int] | None = None) -> Callable[[Sequence[float]], float]:
+    """Nested closures computing e at p, without the checks of compile_expr.
+
+    x{j} reads p[j - 1], or p[slots[j - 1]] when slots is given, so that one
+    list can feed a tree whose variables are picked from any of its entries.
+    Operands are evaluated left to right, so the first failing node raises.
+    """
+    if isinstance(e, Const):
+        c = e.value
+        return lambda p: c
+    if isinstance(e, Var):
+        k = e.index - 1 if slots is None else slots[e.index - 1]
+
+        def var(p):
             try:
-                return math.exp(u)
-            except OverflowError:
-                raise EvalError("exp overflow") from None
-        if e.op == "abs":
-            return abs(u)
-        if e.op == "sign":
-            return 0.0 if u == 0.0 else math.copysign(1.0, u)
-        if e.op == "step":
-            return 1.0 if u > 0.0 else (0.5 if u == 0.0 else 0.0)
-    if isinstance(e, Binary):
-        a = _ev(e.left, p)
-        b = _ev(e.right, p)
-        if e.op == "add":
-            return a + b
-        if e.op == "sub":
-            return a - b
-        if e.op == "mul":
-            return a * b
-        if e.op == "div":
-            if b == 0.0:
-                raise EvalError("division by zero")
-            return a / b
-        if e.op == "min":
-            return min(a, b)
-        if e.op == "max":
-            return max(a, b)
+                return p[k]
+            except IndexError:
+                raise DimensionError(
+                    f"variable x{e.index} but the point has {len(p)} entries") from None
+        return var
+    if isinstance(e, Power):
+        return _lower_power(lower(e.base, slots), e.exponent)
+    if isinstance(e, Unary) and e.op in _LOWER_UNARY:
+        return _LOWER_UNARY[e.op](lower(e.arg, slots))
+    if isinstance(e, Binary) and e.op in _LOWER_BINARY:
+        return _LOWER_BINARY[e.op](lower(e.left, slots), lower(e.right, slots))
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _fpow_scalar(x: float, n: int) -> float:
-    try:
-        return float(x) ** n
-    except OverflowError:
-        raise EvalError("power overflow") from None
+def _lower_power(a, n: int):
+    def power(p):
+        x = a(p)
+        try:
+            return x ** n
+        except ZeroDivisionError:
+            raise EvalError("zero raised to a negative power") from None
+        except OverflowError:
+            raise EvalError("power overflow") from None
+    return power
+
+
+def _lower_exp(a):
+    def exp(p):
+        u = a(p)
+        try:
+            return math.exp(u)
+        except OverflowError:
+            raise EvalError("exp overflow") from None
+    return exp
+
+
+def _lower_sign(a):
+    def sign(p):
+        u = a(p)
+        return 0.0 if u == 0.0 else math.copysign(1.0, u)
+    return sign
+
+
+def _lower_step(a):
+    def step(p):
+        u = a(p)
+        return 1.0 if u > 0.0 else (0.5 if u == 0.0 else 0.0)
+    return step
+
+
+def _lower_div(a, b):
+    def div(p):
+        x = a(p)
+        y = b(p)
+        if y == 0.0:
+            raise EvalError("division by zero")
+        return x / y
+    return div
+
+
+_LOWER_UNARY = {
+    "neg": lambda a: lambda p: -a(p),
+    "sin": lambda a: lambda p: math.sin(a(p)),
+    "cos": lambda a: lambda p: math.cos(a(p)),
+    "exp": _lower_exp,
+    "abs": lambda a: lambda p: abs(a(p)),
+    "sign": _lower_sign,
+    "step": _lower_step,
+}
+
+_LOWER_BINARY = {
+    "add": lambda a, b: lambda p: a(p) + b(p),
+    "sub": lambda a, b: lambda p: a(p) - b(p),
+    "mul": lambda a, b: lambda p: a(p) * b(p),
+    "div": _lower_div,
+    "min": lambda a, b: lambda p: min(a(p), b(p)),
+    "max": lambda a, b: lambda p: max(a(p), b(p)),
+}
 
 
 # -- differentiation -------------------------------------------------------------

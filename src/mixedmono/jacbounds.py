@@ -5,18 +5,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from functools import cached_property
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DimensionError, InvalidBoundsError
-from .expr import Expr, differentiate, eval_interval, evaluate, parse, variables
+from .expr import Expr, compile_expr, differentiate, eval_interval, lower, parse, variables
 from .interval import BoxDomain, Interval
 
 
 @dataclass(frozen=True)
 class VectorField:
-    """f: R^n -> R^m given componentwise as expression trees over x1..xn."""
+    """f: R^n -> R^m given componentwise as expression trees over x1..xn.
+
+    The compiled components, the Jacobian trees and the slot-lowered
+    closures are built on first use and kept on the instance.
+    """
 
     n: int
     components: tuple[Expr, ...]
@@ -40,8 +45,28 @@ class VectorField:
     def m(self) -> int:
         return len(self.components)
 
+    @cached_property
+    def compiled(self) -> tuple[Callable[[Sequence[float]], float], ...]:
+        """compile_expr of each component."""
+        return tuple(compile_expr(c) for c in self.components)
+
+    @cached_property
+    def jacobian(self) -> tuple[tuple[Expr, ...], ...]:
+        """Row i holds the trees of df_{i+1}/dx_1 .. df_{i+1}/dx_n."""
+        return tuple(tuple(differentiate(c, j) for j in range(1, self.n + 1))
+                     for c in self.components)
+
+    def lowered(self, i: int, slots: tuple[int, ...]) -> Callable[[Sequence[float]], float]:
+        """lower(f_{i+1}, slots), built once per (i, slots)."""
+        cache = self.__dict__.setdefault("_lowered", {})
+        fn = cache.get((i, slots))
+        if fn is None:
+            fn = cache[(i, slots)] = lower(self.components[i], slots)
+        return fn
+
     def evaluate(self, point: Sequence[float]) -> np.ndarray:
-        return np.array([evaluate(c, point) for c in self.components])
+        p = np.asarray(point, dtype=float).reshape(-1).tolist()
+        return np.array([fn(p) for fn in self.compiled])
 
 
 class SignCase(Enum):
@@ -110,18 +135,12 @@ class JacobianBounds:
 def jacobian_bounds(f: VectorField, box: BoxDomain, slack: float = 1e-9) -> JacobianBounds:
     """Enclose every df_i/dx_j over the box by natural interval extension.
 
-    Each entry is eval_interval(differentiate(f_i, j), box) widened outward
-    by slack; slack > 0 also keeps constant derivatives nondegenerate so they
-    classify cleanly.  Unbounded entries (infinite endpoints) are recorded,
+    Each entry is eval_interval of the cached tree f.jacobian[i][j] over the
+    box, widened outward by slack; slack > 0 also keeps constant derivatives
+    nondegenerate so they classify cleanly.  Unbounded entries (infinite endpoints) are recorded,
     not raised; downstream constructions decide whether they are fatal.
     """
     if box.n != f.n:
         raise DimensionError(f"box has {box.n} axes but the field has n={f.n}")
-    rows = []
-    for comp in f.components:
-        row = []
-        for j in range(1, f.n + 1):
-            d = differentiate(comp, j)
-            row.append(eval_interval(d, box, slack=slack))
-        rows.append(tuple(row))
-    return JacobianBounds(tuple(rows))
+    return JacobianBounds(tuple(tuple(eval_interval(d, box, slack=slack) for d in row)
+                                for row in f.jacobian))

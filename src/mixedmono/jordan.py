@@ -24,7 +24,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import DimensionError, EvalError, NonConvergenceError
-from .expr import Expr, differentiate, evaluate, is_smooth, parse, variables
+from .expr import Expr, compile_expr, differentiate, is_smooth, parse, variables
 from .interval import Interval
 
 _SCAN_CELLS = 1024
@@ -156,7 +156,9 @@ class ScalarFunction:
 
     expr: Expr
     domain: Optional[Interval] = None
-    _deriv: Optional[Expr] = field(default=None, init=False, repr=False, compare=False)
+    _f: Callable[[list[float]], float] = field(init=False, repr=False, compare=False)
+    _df: Optional[Callable[[list[float]], float]] = field(default=None, init=False, repr=False,
+                                                          compare=False)
     _prof: Optional[_SignProfile] = field(default=None, init=False, repr=False, compare=False)
     _partition_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _split_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -168,6 +170,7 @@ class ScalarFunction:
             raise DimensionError("scalar functions may only use x1")
         if self.domain is not None and not self.domain.is_finite():
             raise ValueError("domain must be finite (or None for the whole line)")
+        self._f = compile_expr(self.expr)
 
     @classmethod
     def from_string(cls, text: str, lo: float, hi: float) -> "ScalarFunction":
@@ -178,16 +181,16 @@ class ScalarFunction:
         return cls(parse(text, 1), None)
 
     def __call__(self, x: float) -> float:
-        return evaluate(self.expr, [float(x)])
+        return self._f([float(x)])
 
     @property
     def smooth(self) -> bool:
         return is_smooth(self.expr)
 
     def derivative(self, t: float) -> float:
-        if self._deriv is None:
-            self._deriv = differentiate(self.expr, 1)
-        return evaluate(self._deriv, [float(t)])
+        if self._df is None:
+            self._df = compile_expr(differentiate(self.expr, 1))
+        return self._df([float(t)])
 
     def _profile(self, lo: float, hi: float, tol: float) -> _SignProfile:
         pr = self._prof
@@ -209,25 +212,35 @@ def _check_sub(f: ScalarFunction, sub: Interval):
 
 
 def _interior_extrema(f: ScalarFunction, xs: np.ndarray, vals: np.ndarray) -> list[float]:
-    """Extremum locations detected from discrete slope sign flips, bisected on f'.
+    """Extremum locations detected from discrete slope sign changes, bisected on f'.
 
     Plain dyadic sums lose 2*slope*dist(extremum, grid) per extremum, and that
     distance can survive several doublings when the extremum sits just past a
     grid point; pinning each detected extremum removes the loss entirely.
+
+    Zero counts as a slope sign of its own, so a cell whose two end values
+    are equal is still bracketed.  An extremum inside the first or the last
+    cell changes no slope sign, so those two cells are also bracketed by the
+    signs of f' at their ends.
     """
-    slopes = np.diff(vals)
+    signs = np.sign(np.diff(vals))
     found = []
-    for k in range(len(slopes) - 1):
-        if slopes[k] * slopes[k + 1] < 0.0:
-            lo, hi = float(xs[k]), float(xs[k + 2])
-            try:
-                da, db = f.derivative(lo), f.derivative(hi)
-                if da * db < 0.0:
-                    found.append(_bisect_sign_change(f.derivative, lo, hi, da, db))
-                else:
-                    found.append(float(xs[k + 1]))
-            except EvalError:
-                continue
+
+    def bracket(lo: float, hi: float, fallback: Optional[float]):
+        try:
+            da, db = f.derivative(lo), f.derivative(hi)
+            if da * db < 0.0:
+                found.append(_bisect_sign_change(f.derivative, lo, hi, da, db))
+            elif fallback is not None:
+                found.append(fallback)
+        except EvalError:
+            pass
+
+    for k in range(len(signs) - 1):
+        if signs[k] != signs[k + 1]:
+            bracket(float(xs[k]), float(xs[k + 2]), float(xs[k + 1]))
+    bracket(float(xs[0]), float(xs[1]), None)
+    bracket(float(xs[-2]), float(xs[-1]), None)
     return found
 
 

@@ -89,6 +89,22 @@ def test_variation_with_off_grid_kink():
         assert abs(tv - 1.0) < tol
 
 
+def test_variation_with_extremum_in_an_end_cell():
+    # the kink at 2*pi lies 0.046 from b, inside the last cell of every
+    # partition up to 256 cells, where the slope keeps its sign
+    f = _on("abs(x1*sin(x1))", -5.92178, 6.32897)
+    assert format(total_variation(f, f.domain, tol=1e-8), ".9g") == "24.7324943"
+
+
+def test_variation_with_equal_values_around_an_extremum():
+    # on 16, 64, 256, ... cells the minimum at 1/3 sits in a cell whose two
+    # ends have equal values; TV = (5/2 - 1/6) + (3/2 - 1/6) = 11/3
+    f = _on("max(abs(x1 - 0.5), 0.5*x1)", -2.0, 2.0)
+    tv = total_variation(f, f.domain, tol=1e-8)
+    assert format(tv, ".9g") == "3.66666667"
+    assert tv == pytest.approx(11.0 / 3.0, abs=1e-8)
+
+
 def test_variation_with_kink_against_quadrature():
     # |x| + sin(5x) mixes a jump of f' with smooth oscillation; the oracle is
     # direct quadrature of |f'| on each side of the jump
