@@ -22,7 +22,8 @@ Config layout::
 
 All [options] keys are optional.  Exit codes: 0 success, 1 config or usage
 error, 2 unbounded derivative enclosure, 3 integration blowup, 4
-non-convergence.
+non-convergence, 5 an evaluation error (division by zero, overflow, sin or
+cos of an infinity) at a point the command evaluates.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 
 from .decomp import build_decomposition, format_decomposition, refine_bounds
 from .embed import build_embedding, integrate_embedding
-from .errors import (BlowupError, ConfigError, NonConvergenceError, ParseError,
+from .errors import (BlowupError, ConfigError, EvalError, NonConvergenceError, ParseError,
                      ToolkitError, UnboundedDerivativeError)
 from .interval import BoxDomain, Interval
 from .jacbounds import VectorField, classify, jacobian_bounds
@@ -471,6 +472,9 @@ def main(argv=None) -> int:
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except EvalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

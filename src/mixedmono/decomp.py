@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import DimensionError, EvalError, UnboundedDerivativeError
 from .expr import to_string
-from .interval import BoxDomain, Interval, hull, intersect
-from .jacbounds import JacobianBounds, SignCase, VectorField, classify, jacobian_bounds
+from .interval import BoxDomain, Interval, iv_checked, iv_hull, iv_intersect
+from .jacbounds import JacobianBounds, SignCase, VectorField, classify
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,6 +68,19 @@ class DecompositionSpec:
         return "x" if self.use_first[i, j] else "y"
 
 
+def _classified(i: int, j: int, a: float, b: float,
+                epsilon: float) -> tuple[bool, float, float]:
+    """(use_first, alpha, beta) of entry (i, j), 0-based, with enclosure (a, b)."""
+    if a == -math.inf and b == math.inf:
+        raise UnboundedDerivativeError(i + 1, j + 1)
+    case = classify(a, b)
+    if case is SignCase.CASE2:
+        return True, abs(a) + epsilon, 0.0
+    if case is SignCase.CASE3:
+        return False, 0.0, -(abs(b) + epsilon)
+    return case is SignCase.CASE1, 0.0, 0.0
+
+
 def build_decomposition(jb: JacobianBounds, epsilon: float = 0.0) -> DecompositionSpec:
     """Classify every enclosure and assemble selectors and offsets.
 
@@ -83,15 +96,17 @@ def build_decomposition(jb: JacobianBounds, epsilon: float = 0.0) -> Decompositi
     for i in range(m):
         for j in range(n):
             iv = jb.entry(i, j)
-            if iv.lo == -math.inf and iv.hi == math.inf:
-                raise UnboundedDerivativeError(i + 1, j + 1)
-            case = classify(iv.lo, iv.hi)
-            use_first[i, j] = case in (SignCase.CASE1, SignCase.CASE2)
-            if case is SignCase.CASE2:
-                alpha[i, j] = abs(iv.lo) + epsilon
-            elif case is SignCase.CASE3:
-                beta[i, j] = -(abs(iv.hi) + epsilon)
+            use_first[i, j], alpha[i, j], beta[i, j] = _classified(i, j, iv.lo, iv.hi, epsilon)
     return DecompositionSpec(use_first, alpha, beta, float(epsilon))
+
+
+def _row(f: VectorField, i: int, first: tuple[bool, ...], coef: list[float]):
+    """One row of the kernel of g: the f.lowered pair of f_i for the selector
+    row first, and the nonzero offset terms (j, alpha_ij - beta_ij)."""
+    if not all(map(math.isfinite, coef)):
+        raise ValueError("offsets must be finite")
+    fx, fy = f.lowered(i, first)
+    return fx, fy, tuple((j, c) for j, c in enumerate(coef) if c != 0.0)
 
 
 def decomposition_kernel(spec: DecompositionSpec,
@@ -107,14 +122,11 @@ def decomposition_kernel(spec: DecompositionSpec,
     """
     if spec.m != f.m or spec.n != f.n:
         raise DimensionError("decomposition shape does not match the field")
-    n = f.n
-    rows = []
-    for i in range(f.m):
-        first = spec.use_first[i].tolist()
-        coef = (spec.alpha[i] - spec.beta[i]).tolist()
-        rows.append((f.lowered(i, tuple(j if first[j] else n + j for j in range(n))),
-                     f.lowered(i, tuple(n + j if first[j] else j for j in range(n))),
-                     tuple((j, c) for j, c in enumerate(coef) if c != 0.0)))
+    return _kernel(f.n, [_row(f, i, tuple(spec.use_first[i].tolist()),
+                              (spec.alpha[i] - spec.beta[i]).tolist()) for i in range(f.m)])
+
+
+def _kernel(n: int, rows: list) -> Callable[[list[float], bool], list[float]]:
     isfinite = math.isfinite
 
     def kernel(s: list[float], both: bool) -> list[float]:
@@ -164,20 +176,23 @@ def bound_box(spec: DecompositionSpec, f: VectorField, box: BoxDomain) -> list[I
     return [Interval(a, b) for a, b in zip(g[:f.m], g[f.m:])]
 
 
-def _depth0(f: VectorField, box: BoxDomain, epsilon: float, slack: float) -> list[Interval]:
-    jb = jacobian_bounds(f, box, slack=slack)
-    spec = build_decomposition(jb, epsilon)
-    return bound_box(spec, f, box)
-
-
 def refine_bounds(f: VectorField, box: BoxDomain, depth: int, epsilon: float = 0.0,
                   slack: float = 1e-9) -> list[Interval]:
-    """Divide-and-conquer range bounding.
+    """Divide-and-conquer range bounding by uniform bisection.
 
-    Depth 0 is bound_box on a decomposition rebuilt for this box.  Deeper
-    levels split the widest axis at its midpoint, recurse one level shallower
-    on each half, hull the child bounds componentwise, and intersect with
-    this box's own depth-0 bound, so bounds are nested as depth grows.
+    Depth 0 is the bracket of bound_box on a decomposition rebuilt for this
+    box.  Deeper levels split the widest axis at its midpoint, recurse one
+    level shallower on each half, hull the child bounds componentwise, and
+    intersect with this box's own depth-0 bound, so bounds are nested as
+    depth grows.
+
+    The recursion runs on lists of box endpoints and bracket endpoints, and
+    makes Intervals only for the result.  On each box the cached interval
+    closures of the Jacobian (VectorField.jacobian_ranges) give the
+    enclosures, classify and the per-row helper shared with
+    decomposition_kernel turn them into the rows of g, and one kernel call
+    gives the bracket, bit for bit the bracket of jacobian_bounds,
+    build_decomposition and bound_box on that box.
 
     Args:
         f: vector field to bound.
@@ -192,20 +207,45 @@ def refine_bounds(f: VectorField, box: BoxDomain, depth: int, epsilon: float = 0
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    parent = _depth0(f, box, epsilon, slack)
+    if box.n != f.n:
+        raise DimensionError(f"box has {box.n} axes but the field has n={f.n}")
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise ValueError("epsilon must be finite and nonnegative")
+    bounds = _refine(f, box.lower_corner().tolist(), box.upper_corner().tolist(), depth,
+                     epsilon, slack)
+    return [Interval(a, b) for a, b in bounds]
+
+
+def _refine(f: VectorField, lo: list[float], hi: list[float], depth: int, epsilon: float,
+            slack: float) -> list[tuple[float, float]]:
+    parent = _bracket(f, lo, hi, epsilon, slack)
     if depth == 0:
         return parent
-    axis = box.widest_axis()
-    if box[axis - 1].width == 0.0:
+    widths = [b - a for a, b in zip(lo, hi)]
+    k = widths.index(max(widths))  # the widest axis; ties go to the lowest index
+    if widths[k] == 0.0:
         return parent  # fully degenerate box, nothing to split
+    mid = 0.5 * (lo[k] + hi[k])
+    if not math.isfinite(mid):
+        raise ValueError(f"box axis {k + 1} has no finite midpoint")
     children = []
-    for half in box.split(axis):
+    for clo, chi in ((lo, hi[:k] + [mid] + hi[k + 1:]), (lo[:k] + [mid] + lo[k + 1:], hi)):
         try:
-            children.append(refine_bounds(f, half, depth - 1, epsilon, slack))
+            children.append(_refine(f, clo, chi, depth - 1, epsilon, slack))
         except UnboundedDerivativeError:
             children.append(parent)  # defensive: keep the sound parent bound
-    merged = [hull(a, b) for a, b in zip(*children)]
-    return [intersect(h, p) for h, p in zip(merged, parent)]
+    return [iv_intersect(*iv_hull(*a, *b), *p) for a, b, p in zip(*children, parent)]
+
+
+def _bracket(f: VectorField, lo: list[float], hi: list[float], epsilon: float,
+             slack: float) -> list[tuple[float, float]]:
+    """Depth-0 bracket endpoints over the box [lo, hi]."""
+    entries = [[_classified(i, j, a, b, epsilon) for j, (a, b) in enumerate(row)]
+               for i, row in enumerate(f.jacobian_ranges(lo, hi, slack))]
+    rows = [_row(f, i, tuple(e[0] for e in row), [e[1] - e[2] for e in row])
+            for i, row in enumerate(entries)]
+    g = _kernel(f.n, rows)(lo + hi, True)
+    return [iv_checked(a, b) for a, b in zip(g[:f.m], g[f.m:])]
 
 
 def _fmt_coeff(c: float) -> str:

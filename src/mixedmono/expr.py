@@ -30,7 +30,9 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import DimensionError, EvalError, ParseError
-from .interval import BoxDomain, Interval
+from .interval import (BoxDomain, Interval, iv_abs, iv_add, iv_cos, iv_div, iv_exp, iv_max,
+                       iv_min, iv_mul, iv_neg, iv_power, iv_sign, iv_sin, iv_step, iv_sub,
+                       iv_widen)
 
 # Slack for callers that want enclosures guaranteed outward of the exact
 # range despite rounding; eval_interval itself defaults to no widening so
@@ -340,8 +342,9 @@ def compile_expr(e: Expr) -> Callable[[Sequence[float]], float]:
     """Lower e once into a closure over a list of floats (x{k+1} is entry k).
 
     The closure raises EvalError for a non-finite point entry, division by
-    zero, zero to a negative power, power or exp overflow and a non-finite
-    value, and DimensionError when the point has too few entries.
+    zero, zero to a negative power, power or exp overflow, sin or cos of an
+    infinity and a non-finite value, and DimensionError when the point has
+    too few entries.
     """
     run = lower(e)
 
@@ -421,6 +424,18 @@ def _lower_step(a):
     return step
 
 
+def _lower_trig(fn, name: str):
+    def lower_trig(a):
+        def trig(p):
+            u = a(p)
+            try:
+                return fn(u)
+            except ValueError:  # math.sin and math.cos of an infinity
+                raise EvalError(f"{name} of a non-finite value") from None
+        return trig
+    return lower_trig
+
+
 def _lower_div(a, b):
     def div(p):
         x = a(p)
@@ -433,8 +448,8 @@ def _lower_div(a, b):
 
 _LOWER_UNARY = {
     "neg": lambda a: lambda p: -a(p),
-    "sin": lambda a: lambda p: math.sin(a(p)),
-    "cos": lambda a: lambda p: math.cos(a(p)),
+    "sin": _lower_trig(math.sin, "sin"),
+    "cos": _lower_trig(math.cos, "cos"),
     "exp": _lower_exp,
     "abs": lambda a: lambda p: abs(a(p)),
     "sign": _lower_sign,
@@ -555,67 +570,80 @@ def differentiate(e: Expr, j: int) -> Expr:
 
 # -- interval evaluation -----------------------------------------------------------
 
-def eval_interval(e: Expr, box: BoxDomain, slack: float = 0.0,
-                  strict_division: bool = False) -> Interval:
+def eval_interval(e: Expr, box: BoxDomain, slack: float = 0.0) -> Interval:
     """Natural interval extension of e over the box.
 
-    Even powers and sine/cosine use their tight range rules; everything else
-    composes endpoint arithmetic.  Division by an interval containing zero
-    yields infinite endpoints, unless strict_division is set, in which case it
-    raises EvalError.  The result is widened outward by slack (see
-    DEFAULT_SLACK); the default of zero keeps exact ranges exact.
+    One call of the closure of lower_interval, widened outward by slack (see
+    DEFAULT_SLACK); the default of zero keeps exact ranges exact.  Compiles
+    e on every call; code that encloses one tree over many boxes keeps the
+    closure instead.
     """
     if slack < 0.0:
         raise ValueError("slack must be nonnegative")
-    iv = _iev(e, box, strict_division)
-    return iv.widen(slack)
+    run = lower_interval(e)
+    return Interval(*iv_widen(*run(box.lower_corner().tolist(), box.upper_corner().tolist()),
+                              slack))
 
 
-def _iev(e: Expr, box: BoxDomain, strict: bool) -> Interval:
+def lower_interval(e: Expr, slots: Sequence[int] | None = None
+                   ) -> Callable[[Sequence[float], Sequence[float]], tuple[float, float]]:
+    """Nested closures enclosing the range of e over a box given by its corners.
+
+    The closure maps the lists lo and hi of the box's endpoints to the
+    endpoints (lo, hi) of the enclosure, by the range rules of interval.py:
+    even powers and sine/cosine are tight, 0 * inf is 0, and division by an
+    interval containing zero yields infinite endpoints.  x{j} reads entry
+    j - 1 of both lists, or entry slots[j - 1] when slots is given.
+    Operands are enclosed left to right.  Raises DimensionError when the
+    lists are too short, and the ValueError of Interval where an image is no
+    interval (an overflow to [inf, inf], say).
+    """
     if isinstance(e, Const):
-        return Interval.point(e.value)
+        c = (e.value, e.value)
+        return lambda lo, hi: c
     if isinstance(e, Var):
-        if e.index > box.n:
-            raise DimensionError(f"variable x{e.index} but the box has {box.n} axes")
-        return box[e.index - 1]
+        k = e.index - 1 if slots is None else slots[e.index - 1]
+
+        def var(lo, hi):
+            try:
+                return lo[k], hi[k]
+            except IndexError:
+                raise DimensionError(
+                    f"variable x{e.index} but the box has {len(lo)} axes") from None
+        return var
     if isinstance(e, Power):
-        base = _iev(e.base, box, strict)
-        if e.exponent < 0:
-            if strict and base.contains(0.0):
-                raise EvalError("power of an interval containing zero with a negative exponent")
-            return base.power(e.exponent)
-        return base.power(e.exponent)
-    if isinstance(e, Unary):
-        u = _iev(e.arg, box, strict)
-        if e.op == "neg":
-            return -u
-        if e.op == "sin":
-            return u.sin()
-        if e.op == "cos":
-            return u.cos()
-        if e.op == "exp":
-            return u.exp()
-        if e.op == "abs":
-            return u.abs()
-        if e.op == "sign":
-            return u.sign()
-        if e.op == "step":
-            return u.step()
-    if isinstance(e, Binary):
-        a = _iev(e.left, box, strict)
-        b = _iev(e.right, box, strict)
-        if e.op == "add":
-            return a + b
-        if e.op == "sub":
-            return a - b
-        if e.op == "mul":
-            return a * b
-        if e.op == "div":
-            if strict and b.contains(0.0):
-                raise EvalError("division by an interval containing zero")
-            return a / b
-        if e.op == "min":
-            return a.min_with(b)
-        if e.op == "max":
-            return a.max_with(b)
+        return _lower_interval_power(lower_interval(e.base, slots), e.exponent)
+    if isinstance(e, Unary) and e.op in _INTERVAL_UNARY:
+        return _lower_interval_unary(_INTERVAL_UNARY[e.op], lower_interval(e.arg, slots))
+    if isinstance(e, Binary) and e.op in _INTERVAL_BINARY:
+        return _lower_interval_binary(_INTERVAL_BINARY[e.op], lower_interval(e.left, slots),
+                                      lower_interval(e.right, slots))
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _lower_interval_power(a, n: int):
+    def power(lo, hi):
+        alo, ahi = a(lo, hi)
+        return iv_power(alo, ahi, n)
+    return power
+
+
+def _lower_interval_unary(rule, a):
+    def unary(lo, hi):
+        alo, ahi = a(lo, hi)
+        return rule(alo, ahi)
+    return unary
+
+
+def _lower_interval_binary(rule, a, b):
+    def binary(lo, hi):
+        alo, ahi = a(lo, hi)
+        blo, bhi = b(lo, hi)
+        return rule(alo, ahi, blo, bhi)
+    return binary
+
+
+_INTERVAL_UNARY = {"neg": iv_neg, "sin": iv_sin, "cos": iv_cos, "exp": iv_exp, "abs": iv_abs,
+                   "sign": iv_sign, "step": iv_step}
+_INTERVAL_BINARY = {"add": iv_add, "sub": iv_sub, "mul": iv_mul, "div": iv_div, "min": iv_min,
+                    "max": iv_max}

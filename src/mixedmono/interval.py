@@ -22,7 +22,7 @@ _TWO_PI = 2.0 * math.pi
 def _fpow(x: float, n: int) -> float:
     # float ** int raises OverflowError instead of returning inf
     try:
-        return float(x) ** n
+        return x ** n
     except OverflowError:
         return _INF if (x > 0.0 or n % 2 == 0) else -_INF
 
@@ -32,13 +32,6 @@ def _fexp(x: float) -> float:
         return math.exp(x)
     except OverflowError:
         return _INF
-
-
-def _prod(a: float, b: float) -> float:
-    p = a * b
-    if math.isnan(p):
-        return 0.0  # 0 * +-inf: the exact product over the interval is 0
-    return p
 
 
 def _contains_angle(lo: float, hi: float, theta: float) -> bool:
@@ -63,6 +56,165 @@ def _step(v: float) -> float:
     return 0.5
 
 
+# -- range rules on endpoints ---------------------------------------------------
+#
+# Each rule takes the float endpoints of valid intervals and returns the
+# endpoints (lo, hi) of the image.  A rule whose image can leave the valid
+# intervals (overflow to [inf, inf], say) checks it and raises the ValueError
+# that Interval itself raises.  The Interval methods and the closures of
+# expr.lower_interval are thin calls of these rules.
+
+def _invalid(lo: float, hi: float):
+    if math.isnan(lo) or math.isnan(hi):
+        raise ValueError("interval endpoints must not be NaN")
+    if lo > hi:
+        raise ValueError(f"interval lower endpoint {lo} exceeds upper endpoint {hi}")
+    raise ValueError("interval endpoints must not both be infinite with the same sign")
+
+
+def iv_checked(lo: float, hi: float) -> tuple[float, float]:
+    """(lo, hi) when they are the endpoints of an Interval; Interval's ValueError otherwise."""
+    if lo <= hi and lo != _INF and hi != -_INF:  # NaN fails lo <= hi
+        return lo, hi
+    _invalid(lo, hi)
+
+
+def iv_neg(lo: float, hi: float) -> tuple[float, float]:
+    return -hi, -lo
+
+
+# add, sub and mul inline the test of iv_checked: they run once per node of
+# every tree enclosed
+
+def iv_add(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
+    lo, hi = alo + blo, ahi + bhi
+    if lo <= hi and lo != _INF and hi != -_INF:
+        return lo, hi
+    _invalid(lo, hi)
+
+
+def iv_sub(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
+    lo, hi = alo - bhi, ahi - blo
+    if lo <= hi and lo != _INF and hi != -_INF:
+        return lo, hi
+    _invalid(lo, hi)
+
+
+def iv_mul(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
+    p, q, r, s = alo * blo, alo * bhi, ahi * blo, ahi * bhi
+    if p != p or q != q or r != r or s != s:
+        # 0 * +-inf: the exact product over the interval is 0
+        p, q, r, s = (0.0 if v != v else v for v in (p, q, r, s))
+    # min and max of (p, q, r, s), the first of equal values winning as in
+    # the builtins (which keeps the sign of a zero result)
+    lo = hi = p
+    for v in (q, r, s):
+        if v < lo:
+            lo = v
+        elif v > hi:
+            hi = v
+    if lo <= hi and lo != _INF and hi != -_INF:
+        return lo, hi
+    _invalid(lo, hi)
+
+
+def iv_div(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
+    if blo > 0.0 or bhi < 0.0:
+        return iv_mul(alo, ahi, *iv_checked(1.0 / bhi, 1.0 / blo))
+    # divisor touches or straddles zero: extended-real result
+    if blo == 0.0 and bhi > 0.0:
+        if alo >= 0.0:
+            return iv_checked(alo / bhi, _INF)
+        if ahi <= 0.0:
+            return iv_checked(-_INF, ahi / bhi)
+    elif bhi == 0.0 and blo < 0.0:
+        if alo >= 0.0:
+            return iv_checked(-_INF, alo / blo)
+        if ahi <= 0.0:
+            return iv_checked(ahi / blo, _INF)
+    return -_INF, _INF
+
+
+def iv_power(lo: float, hi: float, n: int) -> tuple[float, float]:
+    """Tight image of x^n (exact range, not repeated products)."""
+    if n == 0:
+        return 1.0, 1.0
+    if n < 0:
+        return iv_div(1.0, 1.0, *iv_power(lo, hi, -n))
+    if n % 2 == 1:
+        return iv_checked(_fpow(lo, n), _fpow(hi, n))
+    a, b = abs(lo), abs(hi)
+    top = _fpow(max(a, b), n)
+    if lo <= 0.0 <= hi:
+        return iv_checked(0.0, top)
+    return iv_checked(_fpow(min(a, b), n), top)
+
+
+def iv_abs(lo: float, hi: float) -> tuple[float, float]:
+    if lo >= 0.0:
+        return lo, hi
+    if hi <= 0.0:
+        return -hi, -lo
+    return 0.0, max(-lo, hi)
+
+
+def iv_exp(lo: float, hi: float) -> tuple[float, float]:
+    return iv_checked(_fexp(lo), _fexp(hi))
+
+
+def iv_sin(lo: float, hi: float) -> tuple[float, float]:
+    if hi - lo >= _TWO_PI:
+        return -1.0, 1.0
+    a, b = math.sin(lo), math.sin(hi)
+    top = 1.0 if _contains_angle(lo, hi, 0.5 * math.pi) else max(a, b)
+    bottom = -1.0 if _contains_angle(lo, hi, -0.5 * math.pi) else min(a, b)
+    return bottom, top
+
+
+def iv_cos(lo: float, hi: float) -> tuple[float, float]:
+    if hi - lo >= _TWO_PI:
+        return -1.0, 1.0
+    a, b = math.cos(lo), math.cos(hi)
+    top = 1.0 if _contains_angle(lo, hi, 0.0) else max(a, b)
+    bottom = -1.0 if _contains_angle(lo, hi, math.pi) else min(a, b)
+    return bottom, top
+
+
+def iv_min(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
+    return min(alo, blo), min(ahi, bhi)
+
+
+def iv_max(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
+    return max(alo, blo), max(ahi, bhi)
+
+
+def iv_sign(lo: float, hi: float) -> tuple[float, float]:
+    return _sgn(lo), _sgn(hi)
+
+
+def iv_step(lo: float, hi: float) -> tuple[float, float]:
+    return _step(lo), _step(hi)
+
+
+def iv_widen(lo: float, hi: float, delta: float) -> tuple[float, float]:
+    if delta == 0.0:
+        return lo, hi
+    if delta < 0.0:
+        raise ValueError("widening slack must be nonnegative")
+    return iv_checked(lo - delta, hi + delta)
+
+
+def iv_hull(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
+    return min(alo, blo), max(ahi, bhi)
+
+
+def iv_intersect(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
+    lo, hi = max(alo, blo), min(ahi, bhi)
+    if lo > hi:
+        raise ValueError(f"intervals [{alo}, {ahi}] and [{blo}, {bhi}] are disjoint")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed interval [lo, hi]; endpoints may be infinite but never NaN."""
@@ -71,13 +223,7 @@ class Interval:
     hi: float
 
     def __post_init__(self):
-        lo, hi = float(self.lo), float(self.hi)
-        if math.isnan(lo) or math.isnan(hi):
-            raise ValueError("interval endpoints must not be NaN")
-        if lo > hi:
-            raise ValueError(f"interval lower endpoint {lo} exceeds upper endpoint {hi}")
-        if math.isinf(lo) and lo == hi:
-            raise ValueError("interval endpoints must not both be infinite with the same sign")
+        lo, hi = iv_checked(float(self.lo), float(self.hi))
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -103,11 +249,7 @@ class Interval:
         return self.lo - slack <= other.lo and other.hi <= self.hi + slack
 
     def widen(self, delta: float) -> "Interval":
-        if delta == 0.0:
-            return self
-        if delta < 0.0:
-            raise ValueError("widening slack must be nonnegative")
-        return Interval(self.lo - delta, self.hi + delta)
+        return Interval(*iv_widen(self.lo, self.hi, delta))
 
     def __repr__(self) -> str:
         return f"Interval({self.lo!r}, {self.hi!r})"
@@ -115,105 +257,55 @@ class Interval:
     # -- arithmetic --------------------------------------------------------
 
     def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
+        return Interval(*iv_neg(self.lo, self.hi))
 
     def __add__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi)
+        return Interval(*iv_add(self.lo, self.hi, other.lo, other.hi))
 
     def __sub__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo - other.hi, self.hi - other.lo)
+        return Interval(*iv_sub(self.lo, self.hi, other.lo, other.hi))
 
     def __mul__(self, other: "Interval") -> "Interval":
-        ps = (
-            _prod(self.lo, other.lo),
-            _prod(self.lo, other.hi),
-            _prod(self.hi, other.lo),
-            _prod(self.hi, other.hi),
-        )
-        return Interval(min(ps), max(ps))
+        return Interval(*iv_mul(self.lo, self.hi, other.lo, other.hi))
 
     def __truediv__(self, other: "Interval") -> "Interval":
-        if other.lo > 0.0 or other.hi < 0.0:
-            inv = Interval(1.0 / other.hi, 1.0 / other.lo)
-            return self * inv
-        # divisor touches or straddles zero: extended-real result
-        if other.lo == 0.0 and other.hi > 0.0:
-            if self.lo >= 0.0:
-                return Interval(self.lo / other.hi, _INF)
-            if self.hi <= 0.0:
-                return Interval(-_INF, self.hi / other.hi)
-        elif other.hi == 0.0 and other.lo < 0.0:
-            if self.lo >= 0.0:
-                return Interval(-_INF, self.lo / other.lo)
-            if self.hi <= 0.0:
-                return Interval(self.hi / other.lo, _INF)
-        return Interval(-_INF, _INF)
+        return Interval(*iv_div(self.lo, self.hi, other.lo, other.hi))
 
     def power(self, n: int) -> "Interval":
         """Tight image of x^n over the interval (exact range, not repeated products)."""
-        n = int(n)
-        if n == 0:
-            return Interval(1.0, 1.0)
-        if n < 0:
-            return Interval(1.0, 1.0) / self.power(-n)
-        if n % 2 == 1:
-            return Interval(_fpow(self.lo, n), _fpow(self.hi, n))
-        a, b = abs(self.lo), abs(self.hi)
-        hi = _fpow(max(a, b), n)
-        if self.lo <= 0.0 <= self.hi:
-            return Interval(0.0, hi)
-        return Interval(_fpow(min(a, b), n), hi)
+        return Interval(*iv_power(self.lo, self.hi, int(n)))
 
     def abs(self) -> "Interval":
-        if self.lo >= 0.0:
-            return self
-        if self.hi <= 0.0:
-            return Interval(-self.hi, -self.lo)
-        return Interval(0.0, max(-self.lo, self.hi))
+        return Interval(*iv_abs(self.lo, self.hi))
 
     def exp(self) -> "Interval":
-        return Interval(_fexp(self.lo), _fexp(self.hi))
+        return Interval(*iv_exp(self.lo, self.hi))
 
     def sin(self) -> "Interval":
-        if self.width >= _TWO_PI:
-            return Interval(-1.0, 1.0)
-        hi = 1.0 if _contains_angle(self.lo, self.hi, 0.5 * math.pi) else max(
-            math.sin(self.lo), math.sin(self.hi))
-        lo = -1.0 if _contains_angle(self.lo, self.hi, -0.5 * math.pi) else min(
-            math.sin(self.lo), math.sin(self.hi))
-        return Interval(lo, hi)
+        return Interval(*iv_sin(self.lo, self.hi))
 
     def cos(self) -> "Interval":
-        if self.width >= _TWO_PI:
-            return Interval(-1.0, 1.0)
-        hi = 1.0 if _contains_angle(self.lo, self.hi, 0.0) else max(
-            math.cos(self.lo), math.cos(self.hi))
-        lo = -1.0 if _contains_angle(self.lo, self.hi, math.pi) else min(
-            math.cos(self.lo), math.cos(self.hi))
-        return Interval(lo, hi)
+        return Interval(*iv_cos(self.lo, self.hi))
 
     def min_with(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), min(self.hi, other.hi))
+        return Interval(*iv_min(self.lo, self.hi, other.lo, other.hi))
 
     def max_with(self, other: "Interval") -> "Interval":
-        return Interval(max(self.lo, other.lo), max(self.hi, other.hi))
+        return Interval(*iv_max(self.lo, self.hi, other.lo, other.hi))
 
     def sign(self) -> "Interval":
-        return Interval(_sgn(self.lo), _sgn(self.hi))
+        return Interval(*iv_sign(self.lo, self.hi))
 
     def step(self) -> "Interval":
-        return Interval(_step(self.lo), _step(self.hi))
+        return Interval(*iv_step(self.lo, self.hi))
 
 
 def hull(a: Interval, b: Interval) -> Interval:
-    return Interval(min(a.lo, b.lo), max(a.hi, b.hi))
+    return Interval(*iv_hull(a.lo, a.hi, b.lo, b.hi))
 
 
 def intersect(a: Interval, b: Interval) -> Interval:
-    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
-    if lo > hi:
-        raise ValueError(f"intervals [{a.lo}, {a.hi}] and [{b.lo}, {b.hi}] are disjoint")
-    return Interval(lo, hi)
+    return Interval(*iv_intersect(a.lo, a.hi, b.lo, b.hi))
 
 
 def leq_orthant(p: Sequence[float], q: Sequence[float]) -> bool:

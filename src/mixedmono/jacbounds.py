@@ -11,16 +11,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionError, InvalidBoundsError
-from .expr import Expr, compile_expr, differentiate, eval_interval, lower, parse, variables
-from .interval import BoxDomain, Interval
+from .expr import Expr, compile_expr, differentiate, lower, lower_interval, parse, variables
+from .interval import BoxDomain, Interval, iv_widen
 
 
 @dataclass(frozen=True)
 class VectorField:
     """f: R^n -> R^m given componentwise as expression trees over x1..xn.
 
-    The compiled components, the Jacobian trees and the slot-lowered
-    closures are built on first use and kept on the instance.
+    The compiled components, the Jacobian trees with their interval
+    closures, and the slot-lowered closures are built on first use and kept
+    on the instance.
     """
 
     n: int
@@ -56,13 +57,36 @@ class VectorField:
         return tuple(tuple(differentiate(c, j) for j in range(1, self.n + 1))
                      for c in self.components)
 
-    def lowered(self, i: int, slots: tuple[int, ...]) -> Callable[[Sequence[float]], float]:
-        """lower(f_{i+1}, slots), built once per (i, slots)."""
-        cache = self.__dict__.setdefault("_lowered", {})
-        fn = cache.get((i, slots))
-        if fn is None:
-            fn = cache[(i, slots)] = lower(self.components[i], slots)
-        return fn
+    @cached_property
+    def jacobian_interval(self) -> tuple[tuple[Callable, ...], ...]:
+        """lower_interval of each tree of jacobian, in the same layout."""
+        return tuple(tuple(lower_interval(d) for d in row) for row in self.jacobian)
+
+    def jacobian_ranges(self, lo: Sequence[float], hi: Sequence[float],
+                        slack: float) -> list[list[tuple[float, float]]]:
+        """Endpoints of each df_i/dx_j enclosed over the box [lo, hi], widened by slack."""
+        if slack < 0.0:
+            raise ValueError("slack must be nonnegative")
+        return [[iv_widen(*d(lo, hi), slack) for d in row] for row in self.jacobian_interval]
+
+    def lowered(self, i: int, first: tuple[bool, ...]) -> tuple[Callable, Callable]:
+        """f_{i+1} lowered onto a list x + y of 2n floats, built once per (i, first).
+
+        The first closure reads x_j where first[j] is true and y_j elsewhere;
+        the second reads the swapped slots, so it computes the same selection
+        from y + x.
+        """
+        pair = self._lowered.get((i, first))
+        if pair is None:
+            n, comp = self.n, self.components[i]
+            pair = self._lowered[(i, first)] = (
+                lower(comp, tuple(j if u else n + j for j, u in enumerate(first))),
+                lower(comp, tuple(n + j if u else j for j, u in enumerate(first))))
+        return pair
+
+    @cached_property
+    def _lowered(self) -> dict:
+        return {}
 
     def evaluate(self, point: Sequence[float]) -> np.ndarray:
         p = np.asarray(point, dtype=float).reshape(-1).tolist()
@@ -135,12 +159,13 @@ class JacobianBounds:
 def jacobian_bounds(f: VectorField, box: BoxDomain, slack: float = 1e-9) -> JacobianBounds:
     """Enclose every df_i/dx_j over the box by natural interval extension.
 
-    Each entry is eval_interval of the cached tree f.jacobian[i][j] over the
-    box, widened outward by slack; slack > 0 also keeps constant derivatives
-    nondegenerate so they classify cleanly.  Unbounded entries (infinite endpoints) are recorded,
-    not raised; downstream constructions decide whether they are fatal.
+    Each entry is the cached interval closure of the tree f.jacobian[i][j]
+    over the box (f.jacobian_ranges), widened outward by slack; slack > 0
+    also keeps constant derivatives nondegenerate so they classify cleanly.
+    Unbounded entries (infinite endpoints) are recorded, not raised;
+    downstream constructions decide whether they are fatal.
     """
     if box.n != f.n:
         raise DimensionError(f"box has {box.n} axes but the field has n={f.n}")
-    return JacobianBounds(tuple(tuple(eval_interval(d, box, slack=slack) for d in row)
-                                for row in f.jacobian))
+    ranges = f.jacobian_ranges(box.lower_corner().tolist(), box.upper_corner().tolist(), slack)
+    return JacobianBounds(tuple(tuple(Interval(a, b) for a, b in row) for row in ranges))

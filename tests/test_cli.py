@@ -334,3 +334,14 @@ def test_exit_code_for_non_convergence(capsys):
     rc, _, err = _run(capsys, ["tv", "--expr", "abs(sin(1/x1))", "--a", "0.001",
                                "--b", "1", "--tol", "1e-12", "--max-cells", "128"])
     assert rc == 4 and "did not stabilize" in err
+
+
+def test_exit_code_for_evaluation_errors(capsys, cfg_file):
+    rc, out, err = _run(capsys, ["tv", "--expr", "1/x1", "--a", "-1", "--b", "1"])
+    assert rc == 5 and out == "" and err == "error: division by zero\n"
+    rc, out, err = _run(capsys, ["tv", "--expr", "sin(1e200*1e200*(x1+2))", "--a", "0",
+                                 "--b", "1"])
+    assert rc == 5 and out == "" and "of a non-finite value" in err
+    text = '[system]\ndim = 1\nf1 = "exp(800*x1)"\n\n[domain]\nx1 = [0, 1]\n'
+    rc, out, err = _run(capsys, ["bound", cfg_file(text)])
+    assert rc == 5 and out == "" and err == "error: exp overflow\n"

@@ -1,13 +1,16 @@
-"""Properties over generated expression trees: the compiled evaluator and the decomposition kernel."""
+"""Properties over generated expression trees: the compiled point and interval
+evaluators, the decomposition kernel and the bisection of refine_bounds."""
 
 import math
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from mixedmono import (Binary, Const, DecompositionSpec, DimensionError, EvalError, Power,
-                       Unary, Var, VectorField, build_embedding, eval_decomposition)
-from mixedmono.expr import compile_expr
+from mixedmono import (Binary, BoxDomain, Const, DecompositionSpec, DimensionError, EvalError,
+                       Interval, Power, UnboundedDerivativeError, Unary, Var, VectorField,
+                       bound_box, build_decomposition, build_embedding, eval_decomposition,
+                       eval_interval, evaluate, hull, intersect, jacobian_bounds, refine_bounds)
+from mixedmono.expr import compile_expr, lower_interval
 
 N = 3
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -63,6 +66,8 @@ def _fold(e, p):
             return 0.0 if u == 0.0 else math.copysign(1.0, u)
         if e.op == "step":
             return 1.0 if u > 0.0 else (0.5 if u == 0.0 else 0.0)
+        if e.op in ("sin", "cos") and math.isinf(u):
+            raise EvalError(e.op)  # where math.sin and math.cos raise ValueError
         return {"neg": lambda: -u, "sin": lambda: math.sin(u), "cos": lambda: math.cos(u),
                 "abs": lambda: abs(u)}[e.op]()
     a = _fold(e.left, p)
@@ -99,6 +104,7 @@ def _outcome(fn, *args):
 @example(Binary("mul", Var(1), Var(1)), [1e200])
 @example(Binary("min", Const(0.0), Unary("neg", Var(1))), [0.0])
 @example(Binary("max", Unary("neg", Var(1)), Const(0.0)), [0.0])
+@example(Unary("cos", Binary("mul", Var(1), Var(1))), [1e155])
 def test_compiled_evaluation_matches_reference_fold(e, point):
     assert _outcome(compile_expr(e), point) == _outcome(_reference, e, point)
 
@@ -162,3 +168,140 @@ def test_decomposition_agrees_with_field_on_diagonal(case):
         assert [float(v) for v in g[1]] == [float(v) for v in fx[1]]  # -0.0 == 0.0
     else:
         assert g == fx
+
+
+# -- interval evaluation -----------------------------------------------------------------
+
+def _ifold(e, box):
+    """The natural interval extension of e, folded over the Interval methods."""
+    if isinstance(e, Const):
+        return Interval.point(e.value)
+    if isinstance(e, Var):
+        if e.index > box.n:
+            raise DimensionError("short box")
+        return box[e.index - 1]
+    if isinstance(e, Power):
+        return _ifold(e.base, box).power(e.exponent)
+    if isinstance(e, Unary):
+        u = _ifold(e.arg, box)
+        return {"neg": u.__neg__, "sin": u.sin, "cos": u.cos, "exp": u.exp, "abs": u.abs,
+                "sign": u.sign, "step": u.step}[e.op]()
+    a = _ifold(e.left, box)
+    b = _ifold(e.right, box)
+    return {"add": a.__add__, "sub": a.__sub__, "mul": a.__mul__, "div": a.__truediv__,
+            "min": a.min_with, "max": a.max_with}[e.op](b)
+
+
+def _endpoints(fn, *args):
+    """('value', exact text of every endpoint) or ('error', class name)."""
+    try:
+        v = fn(*args)
+    except Exception as exc:  # the class is what is compared
+        return ("error", type(exc).__name__)
+    pairs = v if isinstance(v, list) else [v]
+    return ("value", tuple(repr(float(x)) for iv in pairs
+                           for x in ((iv.lo, iv.hi) if isinstance(iv, Interval) else iv)))
+
+
+@st.composite
+def _boxes(draw, n):
+    bounds = [sorted(draw(st.lists(_coords, min_size=2, max_size=2))) for _ in range(n)]
+    return BoxDomain.from_bounds(bounds)
+
+
+@settings(PROPERTY, max_examples=250)
+@given(_TREES[N], st.integers(1, N).flatmap(_boxes))
+@example(Binary("mul", Var(1), Var(1)), BoxDomain.from_bounds([(1e200, 1e200)]))
+@example(Binary("div", Const(1.0), Var(1)), BoxDomain.from_bounds([(1e-320, 1e-310)]))
+@example(Power(Var(1), -2), BoxDomain.from_bounds([(-1.0, 0.0)]))
+@example(Binary("mul", Const(0.0), Binary("div", Const(1.0), Var(1))),
+         BoxDomain.from_bounds([(0.0, 1.0)]))
+@example(Binary("add", Var(3), Binary("mul", Var(1), Var(1))),  # left operand fails first
+         BoxDomain.from_bounds([(1e200, 1e200)]))
+def test_compiled_interval_matches_interval_fold(e, box):
+    lo = box.lower_corner().tolist()
+    hi = box.upper_corner().tolist()
+    expected = _endpoints(_ifold, e, box)
+    assert _endpoints(lower_interval(e), lo, hi) == expected
+    if box.n == N:  # the same tree read through slots from reversed lists
+        slots = tuple(range(N - 1, -1, -1))
+        assert _endpoints(lower_interval(e, slots), lo[::-1], hi[::-1]) == expected
+
+
+_FRACTIONS = st.lists(st.floats(0.0, 1.0), min_size=N, max_size=N)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(_TREES[N], _boxes(N), st.lists(_FRACTIONS, min_size=1, max_size=4))
+def test_eval_interval_contains_evaluate(e, box, fractions):
+    try:
+        iv = eval_interval(e, box)
+    except ValueError:
+        return  # a range overflowed to [inf, inf]: no enclosure, so nothing to contain
+    for ts in fractions:
+        p = [min(max(b.lo + t * (b.hi - b.lo), b.lo), b.hi) for b, t in zip(box.intervals, ts)]
+        try:
+            v = evaluate(e, p)
+        except EvalError:
+            continue
+        assert iv.lo <= v <= iv.hi, (p, v, iv)
+
+
+# -- refine_bounds -------------------------------------------------------------------
+
+def _refine_reference(f, box, depth, epsilon, slack):
+    """The bisection over the public layers, one Interval at a time."""
+    parent = bound_box(build_decomposition(jacobian_bounds(f, box, slack=slack), epsilon), f, box)
+    if depth == 0:
+        return parent
+    axis = box.widest_axis()
+    if box[axis - 1].width == 0.0:
+        return parent
+    children = []
+    for half in box.split(axis):
+        try:
+            children.append(_refine_reference(f, half, depth - 1, epsilon, slack))
+        except UnboundedDerivativeError:
+            children.append(parent)
+    return [intersect(hull(a, b), p) for a, b, p in zip(*children, parent)]
+
+
+@st.composite
+def _bounded_fields(draw):
+    n = draw(st.integers(1, N))
+    m = draw(st.integers(1, 2))
+    return VectorField(n, tuple(draw(_TREES[n]) for _ in range(m))), draw(_boxes(n))
+
+
+_EPSILONS = st.sampled_from([0.0, 0.25])
+# with no slack, any constant derivative is a degenerate enclosure (InvalidBoundsError)
+_SLACKS = st.sampled_from([1e-9, 1e-9, 1e-9, 0.0])
+
+
+@settings(PROPERTY, max_examples=120)
+@given(_bounded_fields(), st.integers(0, 3), _EPSILONS, _SLACKS)
+@example((VectorField.from_strings(["x1*x2"], 2),  # the children's hull leaves the parent
+          BoxDomain.from_bounds([(0.0, 1.0), (-2.0, 1.0)])), 1, 0.0, 1e-9)
+def test_refine_bounds_matches_reference_bisection(case, depth, epsilon, slack):
+    f, box = case
+    assert (_endpoints(refine_bounds, f, box, depth, epsilon, slack)
+            == _endpoints(_refine_reference, f, box, depth, epsilon, slack))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(_bounded_fields(), st.integers(0, 3), _EPSILONS, st.lists(_FRACTIONS, min_size=1,
+                                                                 max_size=4))
+def test_refine_bounds_contains_field(case, depth, epsilon, fractions):
+    f, box = case
+    try:
+        bounds = refine_bounds(f, box, depth, epsilon)
+    except Exception:  # no bracket printed, so nothing to contain
+        return
+    for ts in fractions:
+        p = [min(max(b.lo + t * (b.hi - b.lo), b.lo), b.hi) for b, t in zip(box.intervals, ts)]
+        try:
+            values = f.evaluate(p)
+        except EvalError:
+            continue
+        for iv, v in zip(bounds, values):
+            assert iv.lo <= v <= iv.hi, (p, v, iv)
