@@ -585,16 +585,14 @@ def eval_interval(e: Expr, box: BoxDomain, slack: float = 0.0) -> Interval:
                               slack))
 
 
-def lower_interval(e: Expr, slots: Sequence[int] | None = None
-                   ) -> Callable[[Sequence[float], Sequence[float]], tuple[float, float]]:
+def lower_interval(e: Expr) -> Callable[[Sequence[float], Sequence[float]], tuple[float, float]]:
     """Nested closures enclosing the range of e over a box given by its corners.
 
     The closure maps the lists lo and hi of the box's endpoints to the
     endpoints (lo, hi) of the enclosure, by the range rules of interval.py:
     even powers and sine/cosine are tight, 0 * inf is 0, and division by an
     interval containing zero yields infinite endpoints.  x{j} reads entry
-    j - 1 of both lists, or entry slots[j - 1] when slots is given.
-    Operands are enclosed left to right.  Raises DimensionError when the
+    j - 1 of both lists.  Operands are enclosed left to right.  Raises DimensionError when the
     lists are too short, and the ValueError of Interval where an image is no
     interval (an overflow to [inf, inf], say).
     """
@@ -602,7 +600,7 @@ def lower_interval(e: Expr, slots: Sequence[int] | None = None
         c = (e.value, e.value)
         return lambda lo, hi: c
     if isinstance(e, Var):
-        k = e.index - 1 if slots is None else slots[e.index - 1]
+        k = e.index - 1
 
         def var(lo, hi):
             try:
@@ -612,12 +610,12 @@ def lower_interval(e: Expr, slots: Sequence[int] | None = None
                     f"variable x{e.index} but the box has {len(lo)} axes") from None
         return var
     if isinstance(e, Power):
-        return _lower_interval_power(lower_interval(e.base, slots), e.exponent)
+        return _lower_interval_power(lower_interval(e.base), e.exponent)
     if isinstance(e, Unary) and e.op in _INTERVAL_UNARY:
-        return _lower_interval_unary(_INTERVAL_UNARY[e.op], lower_interval(e.arg, slots))
+        return _lower_interval_unary(_INTERVAL_UNARY[e.op], lower_interval(e.arg))
     if isinstance(e, Binary) and e.op in _INTERVAL_BINARY:
-        return _lower_interval_binary(_INTERVAL_BINARY[e.op], lower_interval(e.left, slots),
-                                      lower_interval(e.right, slots))
+        return _lower_interval_binary(_INTERVAL_BINARY[e.op], lower_interval(e.left),
+                                      lower_interval(e.right))
     raise TypeError(f"not an expression node: {e!r}")
 
 

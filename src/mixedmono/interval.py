@@ -64,7 +64,10 @@ def _step(v: float) -> float:
 # that Interval itself raises.  The Interval methods and the closures of
 # expr.lower_interval are thin calls of these rules.
 
-def _invalid(lo: float, hi: float):
+def iv_checked(lo: float, hi: float) -> tuple[float, float]:
+    """(lo, hi) when they are the endpoints of an Interval; Interval's ValueError otherwise."""
+    if lo <= hi and lo != _INF and hi != -_INF:  # NaN fails lo <= hi
+        return lo, hi
     if math.isnan(lo) or math.isnan(hi):
         raise ValueError("interval endpoints must not be NaN")
     if lo > hi:
@@ -72,32 +75,16 @@ def _invalid(lo: float, hi: float):
     raise ValueError("interval endpoints must not both be infinite with the same sign")
 
 
-def iv_checked(lo: float, hi: float) -> tuple[float, float]:
-    """(lo, hi) when they are the endpoints of an Interval; Interval's ValueError otherwise."""
-    if lo <= hi and lo != _INF and hi != -_INF:  # NaN fails lo <= hi
-        return lo, hi
-    _invalid(lo, hi)
-
-
 def iv_neg(lo: float, hi: float) -> tuple[float, float]:
     return -hi, -lo
 
 
-# add, sub and mul inline the test of iv_checked: they run once per node of
-# every tree enclosed
-
 def iv_add(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
-    lo, hi = alo + blo, ahi + bhi
-    if lo <= hi and lo != _INF and hi != -_INF:
-        return lo, hi
-    _invalid(lo, hi)
+    return iv_checked(alo + blo, ahi + bhi)
 
 
 def iv_sub(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
-    lo, hi = alo - bhi, ahi - blo
-    if lo <= hi and lo != _INF and hi != -_INF:
-        return lo, hi
-    _invalid(lo, hi)
+    return iv_checked(alo - bhi, ahi - blo)
 
 
 def iv_mul(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
@@ -113,9 +100,7 @@ def iv_mul(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float
             lo = v
         elif v > hi:
             hi = v
-    if lo <= hi and lo != _INF and hi != -_INF:
-        return lo, hi
-    _invalid(lo, hi)
+    return iv_checked(lo, hi)
 
 
 def iv_div(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:

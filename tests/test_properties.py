@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from mixedmono import (Binary, BoxDomain, Const, DecompositionSpec, DimensionError, EvalError,
-                       Interval, Power, UnboundedDerivativeError, Unary, Var, VectorField,
+                       Interval, InvalidBoundsError, Power, UnboundedDerivativeError, Unary, Var, VectorField,
                        bound_box, build_decomposition, build_embedding, eval_decomposition,
                        eval_interval, evaluate, hull, intersect, jacobian_bounds, refine_bounds)
 from mixedmono.expr import compile_expr, lower_interval
@@ -223,9 +223,6 @@ def test_compiled_interval_matches_interval_fold(e, box):
     hi = box.upper_corner().tolist()
     expected = _endpoints(_ifold, e, box)
     assert _endpoints(lower_interval(e), lo, hi) == expected
-    if box.n == N:  # the same tree read through slots from reversed lists
-        slots = tuple(range(N - 1, -1, -1))
-        assert _endpoints(lower_interval(e, slots), lo[::-1], hi[::-1]) == expected
 
 
 _FRACTIONS = st.lists(st.floats(0.0, 1.0), min_size=N, max_size=N)
@@ -295,7 +292,8 @@ def test_refine_bounds_contains_field(case, depth, epsilon, fractions):
     f, box = case
     try:
         bounds = refine_bounds(f, box, depth, epsilon)
-    except Exception:  # no bracket printed, so nothing to contain
+    except (UnboundedDerivativeError, InvalidBoundsError, EvalError, ValueError):
+        # no bracket printed, so nothing to contain
         return
     for ts in fractions:
         p = [min(max(b.lo + t * (b.hi - b.lo), b.lo), b.hi) for b, t in zip(box.intervals, ts)]
