@@ -382,7 +382,7 @@ def cmd_tv(args) -> int:
     domain = f.domain
 
     tv = total_variation(f, domain, tol, max_cells=args.max_cells)
-    split = jordan_split(f, tol)
+    split = jordan_split(f, tol, max_cells=args.max_cells)
     g_lo_hi = split.fplus(domain.lo) + split.fminus(domain.hi)
     g_hi_lo = split.fplus(domain.hi) + split.fminus(domain.lo)
     xs = np.linspace(domain.lo, domain.hi, args.grid)

@@ -64,10 +64,15 @@ class VectorField:
 
     def jacobian_ranges(self, lo: Sequence[float], hi: Sequence[float],
                         slack: float) -> list[list[tuple[float, float]]]:
-        """Endpoints of each df_i/dx_j enclosed over the box [lo, hi], widened by slack."""
+        """Endpoints of each df_i/dx_j enclosed over the box [lo, hi], widened by slack.
+
+        An entry whose range is no interval (it overflows to [inf, inf], say)
+        is enclosed by the whole line, which is always sound.
+        """
         if slack < 0.0:
             raise ValueError("slack must be nonnegative")
-        return [[iv_widen(*d(lo, hi), slack) for d in row] for row in self.jacobian_interval]
+        return [[iv_widen(*_enclose(d, lo, hi), slack) for d in row]
+                for row in self.jacobian_interval]
 
     def lowered(self, i: int, first: tuple[bool, ...]) -> tuple[Callable, Callable]:
         """f_{i+1} lowered onto a list x + y of 2n floats, built once per (i, first).
@@ -91,6 +96,13 @@ class VectorField:
     def evaluate(self, point: Sequence[float]) -> np.ndarray:
         p = np.asarray(point, dtype=float).reshape(-1).tolist()
         return np.array([fn(p) for fn in self.compiled])
+
+
+def _enclose(d: Callable, lo: Sequence[float], hi: Sequence[float]) -> tuple[float, float]:
+    try:
+        return d(lo, hi)
+    except ValueError:
+        return -math.inf, math.inf
 
 
 class SignCase(Enum):

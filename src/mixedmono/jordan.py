@@ -7,7 +7,9 @@ Two computation paths:
   quadrature, with the pieces cached per function;
 * expressions with kinks (abs/min/max): dyadic partition sums augmented with
   bisection-localized interior extrema, doubled until successive estimates
-  stabilize.
+  stabilize.  The converged partition is kept with the running sums of
+  |Δf| over its nodes, so the Jordan split reads f+ at any point of the
+  domain from one partition by prefix sums.
 
 The splits here complement the Jacobian-based construction in decomp: they
 need no derivative enclosures, only bounded variation, at the price of a
@@ -17,11 +19,11 @@ generally wider bracket.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DimensionError, EvalError, NonConvergenceError
 from .expr import Expr, compile_expr, differentiate, is_smooth, parse, variables
@@ -31,6 +33,13 @@ _SCAN_CELLS = 1024
 _LOCALIZE_WIDTH = 1e-12
 _PARTITION_START = 8
 DEFAULT_MAX_CELLS = 2 ** 20
+
+
+def quad(func, a, b, **kwargs):
+    """scipy.integrate.quad, imported on first use: the import costs more than
+    the rest of the package, and only the smooth path needs it."""
+    from scipy.integrate import quad as scipy_quad
+    return scipy_quad(func, a, b, **kwargs)
 
 
 def _sgn(v: float) -> float:
@@ -244,7 +253,17 @@ def _interior_extrema(f: ScalarFunction, xs: np.ndarray, vals: np.ndarray) -> li
     return found
 
 
-def _partition_tv(f: ScalarFunction, a: float, b: float, tol: float, max_cells: int) -> float:
+class _Partition(NamedTuple):
+    """A converged partition of [a, b]: its sorted nodes (the dyadic grid and
+    the pinned extrema), f at each node, and cum[k], the sum of |Δf| over the
+    first k cells, so cum[-1] is the variation over [a, b]."""
+
+    nodes: list[float]
+    vals: list[float]
+    cum: list[float]
+
+
+def _partition(f: ScalarFunction, a: float, b: float, tol: float, max_cells: int) -> _Partition:
     key = (a, b, tol, max_cells)
     cached = f._partition_cache.get(key)
     if cached is not None:
@@ -257,19 +276,20 @@ def _partition_tv(f: ScalarFunction, a: float, b: float, tol: float, max_cells: 
         vals = np.array([f(x) for x in xs])
         extra = _interior_extrema(f, xs, vals)
         if extra:
-            pts = np.concatenate([xs, np.array(extra)])
-            order = np.argsort(pts, kind="stable")
-            allv = np.concatenate([vals, np.array([f(x) for x in extra])])[order]
-        else:
-            allv = vals
-        tv = float(np.abs(np.diff(allv)).sum())
+            xs = np.concatenate([xs, extra])
+            order = np.argsort(xs, kind="stable")
+            xs = xs[order]
+            vals = np.concatenate([vals, [f(x) for x in extra]])[order]
+        cum = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(vals)))])
+        tv = float(cum[-1])
         if prev is not None:
             # one small difference can be a stall (a missed extremum keeps its
             # grid distance across a doubling), so demand two in a row
             small_diffs = small_diffs + 1 if abs(tv - prev) < tol else 0
             if small_diffs >= 2:
-                f._partition_cache[key] = tv
-                return tv
+                part = f._partition_cache[key] = _Partition(xs.tolist(), vals.tolist(),
+                                                            cum.tolist())
+                return part
         prev = tv
         cells *= 2
     raise NonConvergenceError(
@@ -284,7 +304,8 @@ def total_variation(f: ScalarFunction, sub: Interval, tol: float = 1e-8,
     the kink path (abs/min/max in the tree) doubles dyadic partition sums,
     each augmented with the extrema detected at that resolution, until
     successive estimates differ by less than tol, raising
-    NonConvergenceError at the cell cap.
+    NonConvergenceError at the cell cap.  The kink path's value is the last
+    running sum of the converged partition, which jordan_split reads too.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -293,7 +314,7 @@ def total_variation(f: ScalarFunction, sub: Interval, tol: float = 1e-8,
         return 0.0
     if f.smooth:
         return f._profile(sub.lo, sub.hi, tol).tv(sub.lo, sub.hi)
-    return _partition_tv(f, sub.lo, sub.hi, tol, max_cells)
+    return _partition(f, sub.lo, sub.hi, tol, max_cells).cum[-1]
 
 
 @dataclass(eq=False)
@@ -310,13 +331,34 @@ class JordanSplit:
     tol: float
 
 
-def jordan_split(f: ScalarFunction, tol: float = 1e-8) -> JordanSplit:
-    """Split a finite-domain function of bounded variation into monotone halves."""
+def jordan_split(f: ScalarFunction, tol: float = 1e-8,
+                 max_cells: int = DEFAULT_MAX_CELLS) -> JordanSplit:
+    """Split a finite-domain function of bounded variation into monotone halves.
+
+    f_plus(x) is the variation of f over [lo, x].  On the kink path it is
+    read from the partition that total_variation converged on over the whole
+    domain: cum[k] + |f(x) - f(p_k)|, where p_k is the last node <= x.  At a
+    node that is the prefix sum; elsewhere it is the variation of the
+    partition refined by x.  So no second partition is built, f_plus is
+    nondecreasing over the nodes, and f_plus(hi) is the total variation bit
+    for bit.  The smooth path integrates |f'| over [lo, x] from the cached
+    sign profile.  max_cells caps the kink path's partition, as in
+    total_variation.
+    """
     if f.domain is None:
         raise ValueError("a finite domain is required for a two-sided split")
     domain = f.domain
     # computing the full variation both validates bounded variation and warms caches
-    total_variation(f, domain, tol)
+    total_variation(f, domain, tol, max_cells)
+    if f.smooth or domain.width == 0.0:
+        def variation_to(x: float) -> float:
+            return total_variation(f, Interval(domain.lo, x), tol, max_cells)
+    else:
+        part = _partition(f, domain.lo, domain.hi, tol, max_cells)
+
+        def variation_to(x: float) -> float:
+            k = bisect_right(part.nodes, x) - 1
+            return part.cum[k] + abs(f(x) - part.vals[k])
     memo: dict[float, float] = {}
 
     def fplus(x: float) -> float:
@@ -324,7 +366,7 @@ def jordan_split(f: ScalarFunction, tol: float = 1e-8) -> JordanSplit:
         if not domain.contains(x):
             raise ValueError(f"{x} outside the domain [{domain.lo}, {domain.hi}]")
         if x not in memo:
-            memo[x] = total_variation(f, Interval(domain.lo, x), tol)
+            memo[x] = variation_to(x)
         return memo[x]
 
     def fminus(x: float) -> float:

@@ -345,3 +345,29 @@ def test_exit_code_for_evaluation_errors(capsys, cfg_file):
     text = '[system]\ndim = 1\nf1 = "exp(800*x1)"\n\n[domain]\nx1 = [0, 1]\n'
     rc, out, err = _run(capsys, ["bound", cfg_file(text)])
     assert rc == 5 and out == "" and err == "error: exp overflow\n"
+
+
+def test_bound_with_overflowing_derivative_enclosure(capsys, cfg_file):
+    # f = 1 on the box, but the enclosure of f' = step(1 - x1*x1)*(x1 + x1)
+    # overflows to [inf, inf]; the whole line encloses it, which is unbounded
+    text = '[system]\ndim = 1\nf1 = "min(x1*x1, 1)"\n\n[domain]\nx1 = [1e200, 1e200]\n'
+    path = cfg_file(text)
+    for depth in ("0", "2"):
+        rc, out, err = _run(capsys, ["bound", path, "--depth", depth])
+        assert rc == 2 and out == ""
+        assert err == "error: derivative enclosure for f1/x1 is (-inf, inf)\n"
+
+
+def test_tv_split_is_consistent_with_printed_variation(capsys):
+    # the partition misses this narrow spike, so the printed TV is wrong (the
+    # variation is 2); the split must still be read from the same partition
+    rc, out, _ = _run(capsys, ["tv", "--expr", "max(0, 1 - 1000*abs(x1 - 0.3001))",
+                               "--a", "-1", "--b", "1", "--grid", "11"])
+    assert rc == 0
+    lines = out.splitlines()
+    tv = float(lines[0].removeprefix("TV = "))
+    assert lines[2] == "x f+ f-"
+    plus = [float(line.split()[1]) for line in lines[3:]]
+    assert len(plus) == 11
+    assert all(a <= b for a, b in zip(plus, plus[1:]))
+    assert plus[-1] == tv

@@ -208,6 +208,18 @@ def test_split_monotonicity_with_kink():
     assert np.all(np.diff(minus) <= tol)
 
 
+def test_split_reads_the_variation_partition():
+    # f+ inside the domain is the variation of the partition refined by x,
+    # as accurate as a partition built over [lo, x] itself
+    f = _on("abs(x1*sin(x1))", -5.0, 6.0)
+    split = jordan_split(f, 1e-8, max_cells=4096)
+    assert split.fplus(1.0) == pytest.approx(total_variation(f, Interval(-5.0, 1.0)), abs=1e-7)
+    # the partition cap reaches the split as well
+    g = _on("abs(sin(1/x1))", 1e-3, 1.0)
+    with pytest.raises(NonConvergenceError):
+        jordan_split(g, tol=1e-12, max_cells=128)
+
+
 def test_split_requires_finite_domain():
     with pytest.raises(ValueError):
         jordan_split(ScalarFunction.on_reals("x1"))

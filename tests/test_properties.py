@@ -1,16 +1,19 @@
 """Properties over generated expression trees: the compiled point and interval
-evaluators, the decomposition kernel and the bisection of refine_bounds."""
+evaluators, the decomposition kernel, the bisection of refine_bounds and the
+Jordan split of kink functions."""
 
 import math
 
 import numpy as np
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mixedmono import (Binary, BoxDomain, Const, DecompositionSpec, DimensionError, EvalError,
-                       Interval, InvalidBoundsError, Power, UnboundedDerivativeError, Unary, Var, VectorField,
-                       bound_box, build_decomposition, build_embedding, eval_decomposition,
-                       eval_interval, evaluate, hull, intersect, jacobian_bounds, refine_bounds)
-from mixedmono.expr import compile_expr, lower_interval
+                       Interval, InvalidBoundsError, NonConvergenceError, Power, ScalarFunction,
+                       UnboundedDerivativeError, Unary, Var, VectorField, bound_box,
+                       build_decomposition, build_embedding, eval_decomposition, eval_interval,
+                       evaluate, hull, intersect, jacobian_bounds, jordan_split, refine_bounds,
+                       total_variation)
+from mixedmono.expr import compile_expr, is_smooth, lower_interval
 
 N = 3
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -303,3 +306,34 @@ def test_refine_bounds_contains_field(case, depth, epsilon, fractions):
             continue
         for iv, v in zip(bounds, values):
             assert iv.lo <= v <= iv.hi, (p, v, iv)
+
+
+# -- Jordan split of kink functions ----------------------------------------------------
+
+_SPLIT_CELLS = 256  # a small partition cap keeps each example cheap
+
+
+@settings(PROPERTY, max_examples=100)
+@given(_TREES[1], st.floats(-4.0, 4.0), st.floats(1e-3, 4.0), st.integers(1, 5),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+def test_kink_split_reads_one_partition(e, lo, width, k, fractions):
+    assume(not is_smooth(e))
+    hi = lo + width
+    f = ScalarFunction(e, Interval(lo, hi))
+    try:
+        split = jordan_split(f, 1e-8, _SPLIT_CELLS)
+        assert split.fplus(lo) == 0.0
+        assert split.fplus(hi) == total_variation(f, f.domain, 1e-8, _SPLIT_CELLS)
+        # a converged partition has at least 32 dyadic cells, so these
+        # 2^k + 1 points (k <= 5) are among its nodes
+        plus = [split.fplus(x) for x in np.linspace(lo, hi, 2 ** k + 1)]
+        assert all(a <= b for a, b in zip(plus, plus[1:])), plus
+        f_lo = f(lo)
+        for t in fractions:
+            x = min(lo + t * width, hi)
+            p = split.fplus(x)
+            # f+(x) sums |Δf| over a partition of [lo, x]; the rounding of
+            # that sum may leave it a few ulps short of the one difference
+            assert p >= abs(f(x) - f_lo) * (1.0 - 1e-12), (x, p, f(x), f_lo)
+    except (NonConvergenceError, EvalError, ValueError):
+        return
