@@ -199,29 +199,6 @@ def parse_config(path: str) -> RunConfig:
     return parse_config_text(text)
 
 
-def format_config(cfg: RunConfig) -> str:
-    lines = ["[system]", f"dim = {cfg.dim}"]
-    for i, text in enumerate(cfg.expressions, start=1):
-        lines.append(f'f{i} = "{text}"')
-    lines.append("")
-    lines.append("[domain]")
-    for j, iv in enumerate(cfg.domain.intervals, start=1):
-        lines.append(f"x{j} = [{iv.lo!r}, {iv.hi!r}]")
-    lines.append("")
-    o = cfg.options
-    lines.extend([
-        "[options]",
-        f"epsilon = {o.epsilon!r}",
-        f"slack = {o.slack!r}",
-        f"depth = {o.depth}",
-        f"step = {o.step!r}",
-        f"t_end = {o.t_end!r}",
-        f"tol = {o.tol!r}",
-        f"format = {o.fmt}",
-    ])
-    return "\n".join(lines) + "\n"
-
-
 # -- subcommands ----------------------------------------------------------------
 
 
@@ -322,6 +299,11 @@ def cmd_reach(args) -> int:
         raise ConfigError("step must be positive")
     if t_end < 0.0:
         raise ConfigError("t_end must be nonnegative")
+    # config values are checked by _float_option; the flags are checked here
+    if not math.isfinite(step):
+        raise ConfigError("step must be finite")
+    if not math.isfinite(t_end):
+        raise ConfigError("t_end must be finite")
     n = cfg.dim
     x_lo = cfg.domain.lower_corner() if args.x0_lo is None else _parse_vector("--x0-lo", args.x0_lo, n)
     x_hi = cfg.domain.upper_corner() if args.x0_hi is None else _parse_vector("--x0-hi", args.x0_hi, n)

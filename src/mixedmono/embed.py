@@ -6,14 +6,19 @@ from (box lower corner, box upper corner) then brackets every trajectory of
 the original field started inside the box, as long as the decomposition's
 enclosure stays valid along the way.
 
-The right-hand side returns g(x, y) and g(y, x) from one call of
-decomp.decomposition_kernel, which works on plain float lists: each RK4
-stage converts the state once, checks it once and computes x - y and the
-offsets once.
+Classical RK4 runs on Python lists of 2n floats, with the IEEE operations
+of the array form in the same order (0.5*h and h/6 formed first, the stage
+sum taken left to right), so each tube is bit for bit the one numpy arrays
+would give; numpy arrays are made only for the finished ReachTube.  Each
+stage makes one call of EmbeddingSystem.rhs, which returns g(x, y) and
+g(y, x) from one call of decomp.decomposition_kernel: it checks the state
+once and computes x - y and the offsets once.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -44,12 +49,11 @@ class EmbeddingSystem:
     def _kernel(self):
         return decomposition_kernel(self.spec, self.field)
 
-    def rhs(self, state: np.ndarray) -> np.ndarray:
-        """(g(x, y), g(y, x)) for state = (x, y)."""
-        s = np.asarray(state, dtype=float).reshape(-1).tolist()
-        if len(s) != 2 * self.field.n:
+    def rhs(self, state: Sequence[float]) -> list[float]:
+        """g(x, y) followed by g(y, x), for state = x + y, a sequence of 2n floats."""
+        if len(state) != 2 * self.field.n:
             raise DimensionError(f"arguments must have {self.field.n} entries")
-        return np.array(self._kernel(s, True))
+        return self._kernel(list(map(float, state)), True)
 
 
 def build_embedding(f: VectorField, spec: DecompositionSpec) -> EmbeddingSystem:
@@ -78,26 +82,32 @@ class ReachTube:
         return float(self.times[-1]), self.lower[-1], self.upper[-1]
 
 
-def _rk4_step(rhs, state: np.ndarray, h: float) -> np.ndarray:
+def _rk4_step(rhs, state: list[float], h: float) -> list[float]:
+    hh = 0.5 * h
     k1 = rhs(state)
-    k2 = rhs(state + 0.5 * h * k1)
-    k3 = rhs(state + 0.5 * h * k2)
-    k4 = rhs(state + h * k3)
-    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = rhs([v + hh * d for v, d in zip(state, k1)])
+    k3 = rhs([v + hh * d for v, d in zip(state, k2)])
+    k4 = rhs([v + h * d for v, d in zip(state, k3)])
+    h6 = h / 6.0
+    return [v + h6 * (((a + 2.0 * b) + 2.0 * c) + d)
+            for v, a, b, c, d in zip(state, k1, k2, k3, k4)]
 
 
-def _check_state(state: np.ndarray, t: float, cap: float):
-    if not np.all(np.isfinite(state)) or np.any(np.abs(state) > cap):
-        raise BlowupError(t)
+def _check_state(state: list[float], t: float, cap: float):
+    for v in state:
+        if not abs(v) <= cap:  # NaN fails the comparison too
+            raise BlowupError(t)
 
 
-def _integrate(rhs, state0: np.ndarray, t_end: float, step: float, cap: float):
-    """Fixed-step RK4 path recording; returns (times, states)."""
+def _integrate(rhs, state0: list[float], t_end: float, step: float, cap: float):
+    """Fixed-step RK4 path recording on float lists; returns (times, states)."""
     if step <= 0.0:
         raise ValueError("step must be positive")
     if t_end < 0.0:
         raise ValueError("t_end must be nonnegative")
-    state = np.array(state0, dtype=float)
+    # an infinite or NaN cap still stops on an infinite state
+    cap = cap if cap < math.inf else sys.float_info.max
+    state = state0
     _check_state(state, 0.0, cap)
     times = [0.0]
     states = [state]
@@ -115,7 +125,7 @@ def _integrate(rhs, state0: np.ndarray, t_end: float, step: float, cap: float):
         state = _step_checked(rhs, state, rem, t_end, cap)
         times.append(t_end)
         states.append(state)
-    return np.array(times), np.array(states)
+    return times, states
 
 
 def _step_checked(rhs, state, h, t, cap):
@@ -154,8 +164,9 @@ def integrate_embedding(system: EmbeddingSystem, x_lo: Sequence[float],
         raise DimensionError(f"initial corners must have {n} entries")
     if not leq_orthant(lo, hi):
         raise ValueError("initial box needs x_lo <= x_hi componentwise")
-    times, states = _integrate(system.rhs, np.concatenate([lo, hi]), t_end, step, magnitude_cap)
-    return ReachTube(times, states[:, :n], states[:, n:], float(step))
+    times, states = _integrate(system.rhs, lo.tolist() + hi.tolist(), t_end, step, magnitude_cap)
+    states = np.array(states)
+    return ReachTube(np.array(times), states[:, :n], states[:, n:], float(step))
 
 
 def sample_flow(f: VectorField, x0: Sequence[float], t_end: float,
@@ -167,5 +178,7 @@ def sample_flow(f: VectorField, x0: Sequence[float], t_end: float,
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.size != f.n:
         raise DimensionError(f"initial state must have {f.n} entries")
-    _, states = _integrate(lambda s: f.evaluate(s), x, t_end, step, magnitude_cap)
-    return states[-1]
+    compiled = f.compiled
+    _, states = _integrate(lambda s: [fn(s) for fn in compiled], x.tolist(), t_end, step,
+                           magnitude_cap)
+    return np.array(states[-1])

@@ -23,6 +23,7 @@ parse(to_string(e)) total on everything differentiate produces.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -339,14 +340,18 @@ def evaluate(e: Expr, point: Sequence[float]) -> float:
 
 
 def compile_expr(e: Expr) -> Callable[[Sequence[float]], float]:
-    """Lower e once into a closure over a list of floats (x{k+1} is entry k).
+    """The evaluator of lower(e), with the checks of evaluate (x{k+1} is entry k).
 
-    The closure raises EvalError for a non-finite point entry, division by
-    zero, zero to a negative power, power or exp overflow, sin or cos of an
-    infinity and a non-finite value, and DimensionError when the point has
-    too few entries.
+    Generates and compiles e once.  The evaluator raises EvalError for a
+    non-finite point entry, division by zero, zero to a negative power,
+    power or exp overflow, sin or cos of an infinity and a non-finite value,
+    and DimensionError when the point has too few entries.
     """
-    run = lower(e)
+    return checked(lower(e))
+
+
+def checked(run: Callable[[Sequence[float]], float]) -> Callable[[Sequence[float]], float]:
+    """run, an evaluator of lower, with the finiteness checks of compile_expr."""
 
     def compiled(p: Sequence[float]) -> float:
         if not all(map(_isfinite, p)):
@@ -360,110 +365,134 @@ def compile_expr(e: Expr) -> Callable[[Sequence[float]], float]:
 
 
 def lower(e: Expr, slots: Sequence[int] | None = None) -> Callable[[Sequence[float]], float]:
-    """Nested closures computing e at p, without the checks of compile_expr.
+    """The function computing e at p, without the checks of compile_expr.
 
     x{j} reads p[j - 1], or p[slots[j - 1]] when slots is given, so that one
     list can feed a tree whose variables are picked from any of its entries.
-    Operands are evaluated left to right, so the first failing node raises.
+    Generates and compiles e on every call; code that binds one tree to
+    several slot tuples keeps the factory of lower_factory instead.
     """
+    if slots is None:
+        slots = range(max(variables(e), default=0))
+    return lower_factory(e)(slots)
+
+
+def lower_factory(e: Expr) -> Callable[[Sequence[int]], Callable[[Sequence[float]], float]]:
+    """Compile e once into straight-line Python; factory(slots) binds it as lower(e, slots) does.
+
+    The generated function assigns one temporary per node, so its source
+    nests no deeper for a deeper tree, and evaluates operands left to right,
+    so the first failing node raises.  Each variable is read from p once,
+    where evaluation first reaches it, and a point too short for it raises
+    DimensionError there.  div, power, exp, sin and cos call helpers that
+    raise EvalError, sign and step call helpers too, and + - * neg abs min
+    max are inlined.  The source holds only node kinds, integers and the
+    repr of finite floats.
+    """
+    lines: list[str] = []
+    reads: list[int] = []
+    result = _emit(e, lines, reads)
+    src = "\n".join(
+        ["def make(slots):"]
+        + [f"    k{j} = slots[{j - 1}]" for j in reads]
+        + ["    def run(p):", "        try:"]
+        + [f"            {line}" for line in lines]
+        + [f"            return {result}",
+           "        except IndexError:",
+           f"            raise _short(p, ({''.join(f'({j}, k{j}), ' for j in reads)})) from None",
+           "    return run"])
+    namespace = dict(_HELPERS)
+    exec(compile(src, "<mixedmono.expr>", "exec"), namespace)
+    return namespace["make"]
+
+
+# the source of a node from the source of its operands
+_UNARY_TEXT = {"neg": "-{}", "abs": "abs({})", "sin": "_sin({})", "cos": "_cos({})",
+               "exp": "_exp({})", "sign": "_sign({})", "step": "_step({})"}
+_BINARY_TEXT = {"add": "{} + {}", "sub": "{} - {}", "mul": "{} * {}", "div": "_div({}, {})",
+                "min": "min({}, {})", "max": "max({}, {})"}
+
+
+def _emit(e: Expr, lines: list[str], reads: list[int]) -> str:
+    """Append the assignments computing e to lines, and the indices of the
+    variables it reads first to reads; return the name or literal holding e."""
     if isinstance(e, Const):
-        c = e.value
-        return lambda p: c
+        text = repr(e.value)
+        return f"({text})" if text.startswith("-") else text
     if isinstance(e, Var):
-        k = e.index - 1 if slots is None else slots[e.index - 1]
-
-        def var(p):
-            try:
-                return p[k]
-            except IndexError:
-                raise DimensionError(
-                    f"variable x{e.index} but the point has {len(p)} entries") from None
-        return var
+        j = operator.index(e.index)
+        if j not in reads:
+            reads.append(j)
+            lines.append(f"x{j} = p[k{j}]")
+        return f"x{j}"
     if isinstance(e, Power):
-        return _lower_power(lower(e.base, slots), e.exponent)
-    if isinstance(e, Unary) and e.op in _LOWER_UNARY:
-        return _LOWER_UNARY[e.op](lower(e.arg, slots))
-    if isinstance(e, Binary) and e.op in _LOWER_BINARY:
-        return _LOWER_BINARY[e.op](lower(e.left, slots), lower(e.right, slots))
-    raise TypeError(f"not an expression node: {e!r}")
+        text = f"_pow({_emit(e.base, lines, reads)}, {int(e.exponent)})"
+    elif isinstance(e, Unary) and e.op in _UNARY_TEXT:
+        text = _UNARY_TEXT[e.op].format(_emit(e.arg, lines, reads))
+    elif isinstance(e, Binary) and e.op in _BINARY_TEXT:
+        left = _emit(e.left, lines, reads)
+        text = _BINARY_TEXT[e.op].format(left, _emit(e.right, lines, reads))
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    name = f"t{len(lines)}"
+    lines.append(f"{name} = {text}")
+    return name
 
 
-def _lower_power(a, n: int):
-    def power(p):
-        x = a(p)
-        try:
-            return x ** n
-        except ZeroDivisionError:
-            raise EvalError("zero raised to a negative power") from None
-        except OverflowError:
-            raise EvalError("power overflow") from None
-    return power
+def _short(p: Sequence[float], reads: tuple[tuple[int, int], ...]) -> DimensionError:
+    """The error for the first variable x{j} of reads, pairs (j, slot) in the
+    order evaluation reads them, whose slot p lacks."""
+    n = len(p)
+    j = next(j for j, k in reads if not -n <= k < n)
+    return DimensionError(f"variable x{j} but the point has {n} entries")
 
 
-def _lower_exp(a):
-    def exp(p):
-        u = a(p)
-        try:
-            return math.exp(u)
-        except OverflowError:
-            raise EvalError("exp overflow") from None
-    return exp
+def _div(x: float, y: float) -> float:
+    if y == 0.0:
+        raise EvalError("division by zero")
+    return x / y
 
 
-def _lower_sign(a):
-    def sign(p):
-        u = a(p)
-        return 0.0 if u == 0.0 else math.copysign(1.0, u)
-    return sign
+def _pow(x: float, n: int) -> float:
+    try:
+        return x ** n
+    except ZeroDivisionError:
+        raise EvalError("zero raised to a negative power") from None
+    except OverflowError:
+        raise EvalError("power overflow") from None
 
 
-def _lower_step(a):
-    def step(p):
-        u = a(p)
-        return 1.0 if u > 0.0 else (0.5 if u == 0.0 else 0.0)
-    return step
+def _exp(u: float) -> float:
+    try:
+        return math.exp(u)
+    except OverflowError:
+        raise EvalError("exp overflow") from None
 
 
-def _lower_trig(fn, name: str):
-    def lower_trig(a):
-        def trig(p):
-            u = a(p)
-            try:
-                return fn(u)
-            except ValueError:  # math.sin and math.cos of an infinity
-                raise EvalError(f"{name} of a non-finite value") from None
-        return trig
-    return lower_trig
+def _sin(u: float) -> float:
+    try:
+        return math.sin(u)
+    except ValueError:  # math.sin of an infinity
+        raise EvalError("sin of a non-finite value") from None
 
 
-def _lower_div(a, b):
-    def div(p):
-        x = a(p)
-        y = b(p)
-        if y == 0.0:
-            raise EvalError("division by zero")
-        return x / y
-    return div
+def _cos(u: float) -> float:
+    try:
+        return math.cos(u)
+    except ValueError:  # math.cos of an infinity
+        raise EvalError("cos of a non-finite value") from None
 
 
-_LOWER_UNARY = {
-    "neg": lambda a: lambda p: -a(p),
-    "sin": _lower_trig(math.sin, "sin"),
-    "cos": _lower_trig(math.cos, "cos"),
-    "exp": _lower_exp,
-    "abs": lambda a: lambda p: abs(a(p)),
-    "sign": _lower_sign,
-    "step": _lower_step,
-}
+def _sign(u: float) -> float:
+    return 0.0 if u == 0.0 else math.copysign(1.0, u)
 
-_LOWER_BINARY = {
-    "add": lambda a, b: lambda p: a(p) + b(p),
-    "sub": lambda a, b: lambda p: a(p) - b(p),
-    "mul": lambda a, b: lambda p: a(p) * b(p),
-    "div": _lower_div,
-    "min": lambda a, b: lambda p: min(a(p), b(p)),
-    "max": lambda a, b: lambda p: max(a(p), b(p)),
-}
+
+def _step(u: float) -> float:
+    return 1.0 if u > 0.0 else (0.5 if u == 0.0 else 0.0)
+
+
+_HELPERS = {"_short": _short, "_div": _div, "_pow": _pow, "_exp": _exp, "_sin": _sin,
+            "_cos": _cos, "_sign": _sign, "_step": _step}
 
 
 # -- differentiation -------------------------------------------------------------

@@ -360,8 +360,3 @@ class BoxDomain:
         left[axis - 1] = Interval(iv.lo, mid)
         right[axis - 1] = Interval(mid, iv.hi)
         return BoxDomain(tuple(left)), BoxDomain(tuple(right))
-
-    def hull_with(self, other: "BoxDomain") -> "BoxDomain":
-        if other.n != self.n:
-            raise DimensionError("box dimensions differ")
-        return BoxDomain(tuple(hull(a, b) for a, b in zip(self.intervals, other.intervals)))

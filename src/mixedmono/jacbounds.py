@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionError, InvalidBoundsError
-from .expr import Expr, compile_expr, differentiate, lower, lower_interval, parse, variables
+from .expr import Expr, checked, differentiate, lower_factory, lower_interval, parse, variables
 from .interval import BoxDomain, Interval, iv_widen
 
 
@@ -19,9 +19,9 @@ from .interval import BoxDomain, Interval, iv_widen
 class VectorField:
     """f: R^n -> R^m given componentwise as expression trees over x1..xn.
 
-    The compiled components, the Jacobian trees with their interval
-    closures, and the slot-lowered closures are built on first use and kept
-    on the instance.
+    The compiled factory of each component, the evaluators it binds, and
+    the Jacobian trees with their interval closures are built on first use
+    and kept on the instance.
     """
 
     n: int
@@ -47,9 +47,14 @@ class VectorField:
         return len(self.components)
 
     @cached_property
+    def _factories(self) -> tuple[Callable, ...]:
+        """lower_factory of each component: the one compile of each tree."""
+        return tuple(lower_factory(c) for c in self.components)
+
+    @cached_property
     def compiled(self) -> tuple[Callable[[Sequence[float]], float], ...]:
-        """compile_expr of each component."""
-        return tuple(compile_expr(c) for c in self.components)
+        """Each component evaluated with the checks of compile_expr."""
+        return tuple(checked(make(range(self.n))) for make in self._factories)
 
     @cached_property
     def jacobian(self) -> tuple[tuple[Expr, ...], ...]:
@@ -75,18 +80,19 @@ class VectorField:
                 for row in self.jacobian_interval]
 
     def lowered(self, i: int, first: tuple[bool, ...]) -> tuple[Callable, Callable]:
-        """f_{i+1} lowered onto a list x + y of 2n floats, built once per (i, first).
+        """f_{i+1} bound onto a list x + y of 2n floats, once per (i, first).
 
-        The first closure reads x_j where first[j] is true and y_j elsewhere;
+        The first function reads x_j where first[j] is true and y_j elsewhere;
         the second reads the swapped slots, so it computes the same selection
-        from y + x.
+        from y + x.  Both bind the one factory of f_{i+1}, so no selector row
+        compiles anything.
         """
         pair = self._lowered.get((i, first))
         if pair is None:
-            n, comp = self.n, self.components[i]
+            n, make = self.n, self._factories[i]
             pair = self._lowered[(i, first)] = (
-                lower(comp, tuple(j if u else n + j for j, u in enumerate(first))),
-                lower(comp, tuple(n + j if u else j for j, u in enumerate(first))))
+                make(tuple(j if u else n + j for j, u in enumerate(first))),
+                make(tuple(n + j if u else j for j, u in enumerate(first))))
         return pair
 
     @cached_property
@@ -157,15 +163,6 @@ class JacobianBounds:
     def entry(self, i: int, j: int) -> Interval:
         """0-based row/column access."""
         return self.entries[i][j]
-
-    def unbounded_entries(self) -> list[tuple[int, int]]:
-        """0-based (i, j) positions whose enclosure is (-inf, inf)."""
-        out = []
-        for i, row in enumerate(self.entries):
-            for j, iv in enumerate(row):
-                if iv.lo == -math.inf and iv.hi == math.inf:
-                    out.append((i, j))
-        return out
 
 
 def jacobian_bounds(f: VectorField, box: BoxDomain, slack: float = 1e-9) -> JacobianBounds:

@@ -211,3 +211,21 @@ def test_refine_unbounded_at_top_raises():
     box = BoxDomain.from_bounds([(-1, 1), (-1, 1)])
     with pytest.raises(UnboundedDerivativeError):
         refine_bounds(f, box, 2)
+
+
+def test_refine_compiles_each_component_once(monkeypatch):
+    # the selector rows of every box bind one compiled factory per component
+    import builtins
+    from mixedmono import expr
+
+    sources = []
+
+    def counting(source, *args):
+        sources.append(source)
+        return builtins.compile(source, *args)
+
+    monkeypatch.setattr(expr, "compile", counting, raising=False)
+    f = VectorField.from_strings(["x1*x2 - sin(x1)", "abs(x2) - x1^2"], 2)
+    refine_bounds(f, BoxDomain.from_bounds([(-1.0, 2.0), (-2.0, 1.0)]), 4)
+    f.evaluate([0.5, 0.5])
+    assert len(sources) == 2

@@ -41,14 +41,6 @@ def test_jacobian_bounds_square():
     assert jb.entry(0, 0).lo == -2.0 and jb.entry(0, 0).hi == 2.0
 
 
-def test_unbounded_entries_recorded_not_raised():
-    f = VectorField.from_strings(["x1/x2"], 2)
-    box = BoxDomain.from_bounds([(-1, 1), (-1, 1)])
-    jb = jacobian_bounds(f, box)
-    assert (0, 0) in jb.unbounded_entries()
-    assert (0, 1) in jb.unbounded_entries()
-
-
 def test_box_dimension_mismatch():
     f = VectorField.from_strings(["x1"], 1)
     with pytest.raises(DimensionError):

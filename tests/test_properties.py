@@ -1,18 +1,18 @@
 """Properties over generated expression trees: the compiled point and interval
-evaluators, the decomposition kernel, the bisection of refine_bounds and the
-Jordan split of kink functions."""
+evaluators, the decomposition kernel, the RK4 of the embedding, the bisection
+of refine_bounds and the Jordan split of kink functions."""
 
 import math
 
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
-from mixedmono import (Binary, BoxDomain, Const, DecompositionSpec, DimensionError, EvalError,
-                       Interval, InvalidBoundsError, NonConvergenceError, Power, ScalarFunction,
-                       UnboundedDerivativeError, Unary, Var, VectorField, bound_box,
-                       build_decomposition, build_embedding, eval_decomposition, eval_interval,
-                       evaluate, hull, intersect, jacobian_bounds, jordan_split, refine_bounds,
-                       total_variation)
+from mixedmono import (Binary, BlowupError, BoxDomain, Const, DecompositionSpec, DimensionError,
+                       EvalError, Interval, InvalidBoundsError, NonConvergenceError, Power,
+                       ReachTube, ScalarFunction, UnboundedDerivativeError, Unary, Var,
+                       VectorField, bound_box, build_decomposition, build_embedding,
+                       eval_decomposition, eval_interval, evaluate, hull, integrate_embedding,
+                       intersect, jacobian_bounds, jordan_split, refine_bounds, total_variation)
 from mixedmono.expr import compile_expr, is_smooth, lower_interval
 
 N = 3
@@ -108,8 +108,25 @@ def _outcome(fn, *args):
 @example(Binary("min", Const(0.0), Unary("neg", Var(1))), [0.0])
 @example(Binary("max", Unary("neg", Var(1)), Const(0.0)), [0.0])
 @example(Unary("cos", Binary("mul", Var(1), Var(1))), [1e155])
+# the first failing node raises: the division before the missing x3, and
+# the missing x3 before the division
+@example(Binary("add", Binary("div", Const(1.0), Const(0.0)), Var(3)), [1.0])
+@example(Binary("add", Var(3), Binary("div", Const(1.0), Const(0.0))), [1.0])
 def test_compiled_evaluation_matches_reference_fold(e, point):
     assert _outcome(compile_expr(e), point) == _outcome(_reference, e, point)
+
+
+def test_compiled_evaluation_of_deep_trees():
+    # deeper than the nesting the Python parser accepts in one expression
+    total = Var(1)
+    for k in range(399):
+        total = Binary("add", total, Var(2) if k % 3 else Const(0.25 * k))
+    waves = Var(1)
+    for _ in range(300):
+        waves = Unary("sin", waves)
+    for e in (total, waves, Binary("mul", total, waves)):
+        for point in ([0.5, -1.5], [3.0, 1e-3], [2.0]):
+            assert _outcome(compile_expr(e), point) == _outcome(_reference, e, point)
 
 
 # -- decomposition kernel ------------------------------------------------------------
@@ -152,6 +169,66 @@ def _g_reference(spec, f, x, y):
             off += float(spec.alpha[i, j] - spec.beta[i, j]) * (x[j] - y[j])
         out.append(_reference(comp, z) + off)
     return out
+
+
+def _rk4_reference(system, lo, hi, t_end, step, cap):
+    """The array form of the RK4 loop over system.rhs: (times, lower, upper).
+
+    t_end is a whole number of steps.
+    """
+    def rhs(s):
+        return np.array(system.rhs(s))
+
+    def check(s, t):
+        if not np.all(np.isfinite(s)) or np.any(np.abs(s) > cap):
+            raise BlowupError(t)
+
+    state = np.array(lo + hi, dtype=float)
+    check(state, 0.0)
+    times, states = [0.0], [state]
+    with np.errstate(all="ignore"):
+        for k in range(round(t_end / step)):
+            t = (k + 1) * step
+            try:
+                k1 = rhs(state)
+                k2 = rhs(state + 0.5 * step * k1)
+                k3 = rhs(state + 0.5 * step * k2)
+                k4 = rhs(state + step * k3)
+            except EvalError:
+                raise BlowupError(t) from None
+            state = state + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            check(state, t)
+            times.append(t)
+            states.append(state)
+    states = np.array(states)
+    n = len(lo)
+    return np.array(times), states[:, :n], states[:, n:]
+
+
+def _tube_outcome(fn, *args):
+    """('tube', exact text of every time and bound), ('blowup', time) or ('error', class)."""
+    try:
+        v = fn(*args)
+    except BlowupError as exc:
+        return ("blowup", repr(exc.time))
+    except Exception as exc:  # the class is what is compared
+        return ("error", type(exc).__name__)
+    if isinstance(v, ReachTube):
+        v = (v.times, v.lower, v.upper)
+    return ("tube", tuple(repr(float(x)) for a in v for x in np.ravel(a)))
+
+
+@PROPERTY
+@given(_decomposed_fields(), st.sampled_from([0.05, 0.1, 0.25, 0.5]), st.integers(0, 6),
+       st.sampled_from([1e12, 1e3, 10.0]))
+def test_rk4_on_float_lists_matches_array_form(case, step, steps, cap):
+    f, spec, x, y = case
+    system = build_embedding(f, spec)
+    lo = [min(a, b) for a, b in zip(x, y)]
+    hi = [max(a, b) for a, b in zip(x, y)]
+    t_end = steps * step
+    assert (_tube_outcome(integrate_embedding, system, lo, hi, t_end, step, cap)
+            == _tube_outcome(_rk4_reference, system, lo, hi, t_end, step, cap))
 
 
 @PROPERTY
