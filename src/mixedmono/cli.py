@@ -304,6 +304,8 @@ def cmd_reach(args) -> int:
         raise ConfigError("step must be finite")
     if not math.isfinite(t_end):
         raise ConfigError("t_end must be finite")
+    if not math.isfinite(t_end / step):
+        raise ConfigError("t_end/step must be finite")
     n = cfg.dim
     x_lo = cfg.domain.lower_corner() if args.x0_lo is None else _parse_vector("--x0-lo", args.x0_lo, n)
     x_hi = cfg.domain.upper_corner() if args.x0_hi is None else _parse_vector("--x0-hi", args.x0_hi, n)
@@ -437,10 +439,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# built once, at import: main parses every argv with it
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one mixedmono command on argv (sys.argv[1:] when None); return its exit code.
+
+    Every call parses with the one parser built when this module is
+    imported.  Errors of the command print "error: ..." to stderr and map
+    to the exit codes of the module docstring.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -122,36 +123,38 @@ def decomposition_kernel(spec: DecompositionSpec,
     """
     if spec.m != f.m or spec.n != f.n:
         raise DimensionError("decomposition shape does not match the field")
-    return _kernel(f.n, [_row(f, i, tuple(spec.use_first[i].tolist()),
-                              (spec.alpha[i] - spec.beta[i]).tolist()) for i in range(f.m)])
+    return partial(_kernel, f.n, [_row(f, i, tuple(spec.use_first[i].tolist()),
+                                       (spec.alpha[i] - spec.beta[i]).tolist())
+                                  for i in range(f.m)])
 
 
-def _kernel(n: int, rows: list) -> Callable[[list[float], bool], list[float]]:
+def _kernel(n: int, rows: list, s: list[float], both: bool) -> list[float]:
+    """The kernel of decomposition_kernel, for the rows of g given as a list.
+
+    Row i is (fx, fy, terms): the f.lowered pair of f_i and its nonzero
+    offset terms (j, alpha_ij - beta_ij), in increasing j.
+    """
     isfinite = math.isfinite
-
-    def kernel(s: list[float], both: bool) -> list[float]:
-        if not all(map(isfinite, s)):
-            raise EvalError("point entries must be finite")
-        diff = [s[j] - s[n + j] for j in range(n)]
-        out, offsets = [], []
-        for fx, _, terms in rows:
-            v = fx(s)
+    if not all(map(isfinite, s)):
+        raise EvalError("point entries must be finite")
+    diff = [s[j] - s[n + j] for j in range(n)]
+    out, offsets = [], []
+    for fx, _, terms in rows:
+        v = fx(s)
+        if not isfinite(v):
+            raise EvalError("non-finite value during evaluation")
+        off = 0.0
+        for j, c in terms:
+            off += c * diff[j]
+        offsets.append(off)
+        out.append(v + off)
+    if both:
+        for (_, fy, _), off in zip(rows, offsets):
+            v = fy(s)
             if not isfinite(v):
                 raise EvalError("non-finite value during evaluation")
-            off = 0.0
-            for j, c in terms:
-                off += c * diff[j]
-            offsets.append(off)
-            out.append(v + off)
-        if both:
-            for (_, fy, _), off in zip(rows, offsets):
-                v = fy(s)
-                if not isfinite(v):
-                    raise EvalError("non-finite value during evaluation")
-                out.append(v + (0.0 - off))  # 0.0 - off: the sum over y - x, signed zero included
-        return out
-
-    return kernel
+            out.append(v + (0.0 - off))  # 0.0 - off: the sum over y - x, signed zero included
+    return out
 
 
 def eval_decomposition(spec: DecompositionSpec, f: VectorField, x, y) -> np.ndarray:
@@ -187,11 +190,11 @@ def refine_bounds(f: VectorField, box: BoxDomain, depth: int, epsilon: float = 0
     depth grows.
 
     The recursion runs on lists of box endpoints and bracket endpoints, and
-    makes Intervals only for the result.  On each box the cached interval
-    closures of the Jacobian (VectorField.jacobian_ranges) give the
-    enclosures, classify and the per-row helper shared with
-    decomposition_kernel turn them into the rows of g, and one kernel call
-    gives the bracket, bit for bit the bracket of jacobian_bounds,
+    makes Intervals only for the result.  On each box one run of the
+    Jacobian's shared-node evaluator (VectorField.jacobian_ranges) gives all
+    m*n enclosures, one loop widens and classifies them into the rows of g,
+    and one call of the kernel behind decomposition_kernel gives the
+    bracket, bit for bit the bracket of jacobian_bounds,
     build_decomposition and bound_box on that box.
 
     Args:
@@ -211,6 +214,8 @@ def refine_bounds(f: VectorField, box: BoxDomain, depth: int, epsilon: float = 0
         raise DimensionError(f"box has {box.n} axes but the field has n={f.n}")
     if not (math.isfinite(epsilon) and epsilon >= 0.0):
         raise ValueError("epsilon must be finite and nonnegative")
+    if not slack >= 0.0:
+        raise ValueError("slack must be nonnegative")
     bounds = _refine(f, box.lower_corner().tolist(), box.upper_corner().tolist(), depth,
                      epsilon, slack)
     return [Interval(a, b) for a, b in bounds]
@@ -239,12 +244,38 @@ def _refine(f: VectorField, lo: list[float], hi: list[float], depth: int, epsilo
 
 def _bracket(f: VectorField, lo: list[float], hi: list[float], epsilon: float,
              slack: float) -> list[tuple[float, float]]:
-    """Depth-0 bracket endpoints over the box [lo, hi]."""
-    entries = [[_classified(i, j, a, b, epsilon) for j, (a, b) in enumerate(row)]
-               for i, row in enumerate(f.jacobian_ranges(lo, hi, slack))]
-    rows = [_row(f, i, tuple(e[0] for e in row), [e[1] - e[2] for e in row])
-            for i, row in enumerate(entries)]
-    g = _kernel(f.n, rows)(lo + hi, True)
+    """Depth-0 bracket endpoints over the box [lo, hi].
+
+    One loop widens each enclosure by slack, classifies it as
+    build_decomposition does and collects each row's nonzero offset terms;
+    the rows go to _kernel.
+    """
+    rows, finite = [], True
+    for i, row in enumerate(f.jacobian_ranges(lo, hi, 0.0)):
+        first, terms = [], []
+        for j, (a, b) in enumerate(row):
+            if slack:
+                a, b = a - slack, b + slack
+            if 0.0 <= a < b:  # CASE1
+                first.append(True)
+            elif a < b <= 0.0:  # CASE4
+                first.append(False)
+            elif a < 0.0 < b and (a > -math.inf or b < math.inf):
+                # CASE2 (the tie -a = b included) or CASE3; c is alpha_ij - beta_ij
+                if -a <= b:
+                    first.append(True)
+                    c = -a + epsilon
+                else:
+                    first.append(False)
+                    c = b + epsilon
+                finite = finite and c < math.inf
+                terms.append((j, c))
+            else:  # (-inf, inf), NaN or a >= b: _classified raises what classify does
+                _classified(i, j, a, b, epsilon)
+        rows.append((*f.lowered(i, tuple(first)), terms))
+    if not finite:
+        raise ValueError("offsets must be finite")
+    g = _kernel(f.n, rows, lo + hi, True)
     return [iv_checked(a, b) for a, b in zip(g[:f.m], g[f.m:])]
 
 

@@ -602,10 +602,12 @@ def differentiate(e: Expr, j: int) -> Expr:
 def eval_interval(e: Expr, box: BoxDomain, slack: float = 0.0) -> Interval:
     """Natural interval extension of e over the box.
 
-    One call of the closure of lower_interval, widened outward by slack (see
-    DEFAULT_SLACK); the default of zero keeps exact ranges exact.  Compiles
-    e on every call; code that encloses one tree over many boxes keeps the
-    closure instead.
+    One call of the evaluator of lower_interval, widened outward by slack
+    (see DEFAULT_SLACK); the default of zero keeps exact ranges exact.
+    Builds the node list of e on every call; code that encloses one tree
+    over many boxes keeps the evaluator instead.  Raises DimensionError for
+    the first variable, left to right, that the box lacks, and the
+    ValueError of Interval where an image is no interval.
     """
     if slack < 0.0:
         raise ValueError("slack must be nonnegative")
@@ -615,59 +617,149 @@ def eval_interval(e: Expr, box: BoxDomain, slack: float = 0.0) -> Interval:
 
 
 def lower_interval(e: Expr) -> Callable[[Sequence[float], Sequence[float]], tuple[float, float]]:
-    """Nested closures enclosing the range of e over a box given by its corners.
+    """The enclosure of the range of e over a box given by its corners.
 
-    The closure maps the lists lo and hi of the box's endpoints to the
-    endpoints (lo, hi) of the enclosure, by the range rules of interval.py:
-    even powers and sine/cosine are tight, 0 * inf is 0, and division by an
-    interval containing zero yields infinite endpoints.  x{j} reads entry
-    j - 1 of both lists.  Operands are enclosed left to right.  Raises DimensionError when the
-    lists are too short, and the ValueError of Interval where an image is no
-    interval (an overflow to [inf, inf], say).
+    The one-tree case of lower_intervals: the evaluator maps the lists lo
+    and hi of the box's endpoints to the endpoints (lo, hi) of the
+    enclosure.  It raises DimensionError for the first variable, left to
+    right, that the lists lack, and the ValueError of Interval where an
+    image is no interval (an overflow to [inf, inf], say), whichever
+    evaluation reaches first.
     """
+    run = lower_intervals((e,))
+
+    def enclose(lo: Sequence[float], hi: Sequence[float]) -> tuple[float, float]:
+        (r,) = run(lo, hi)
+        if isinstance(r, ValueError):
+            raise r
+        return r
+
+    return enclose
+
+
+def lower_intervals(trees: Sequence[Expr]) -> Callable[[Sequence[float], Sequence[float]], list]:
+    """One flat list of shared nodes enclosing the ranges of several trees over a box.
+
+    run(lo, hi) maps the lists of the box's endpoints to a list holding, for
+    each tree in order, the endpoints (lo, hi) of its enclosure, or the
+    ValueError of Interval where an image is no interval (an overflow to
+    [inf, inf], say).  The range rules are those of interval.py: even powers
+    and sine/cosine are tight, 0 * inf is 0, and division by an interval
+    containing zero yields infinite endpoints.  x{j} reads entry j - 1 of
+    both lists.
+
+    Structurally equal subtrees, within a tree or across trees, are one
+    node, enclosed once per call; constants and variables cost nothing.
+    The list is built without compile.  Each tree keeps the outcome of its
+    own walk, operands left to right: a node whose image is no interval
+    fails every tree that reaches it and no other, and a list too short
+    raises DimensionError for the first variable, tree by tree, that such a
+    walk reaches before any failing node.
+    """
+    consts: list[tuple[float, float]] = []
+    ops: list[list] = []   # [rule, operand refs]; refs are ("c", k), ("t", k) or ("x", j)
+    table: dict = {}
+    walks = []
+    for e in trees:
+        walk: list = []
+        root = _intern(e, table, consts, ops, walk, set())
+        walks.append((walk, root))
+    width = max((ref[1] for ref in table.values() if ref[0] == "x"), default=0)
+    base = {"c": 0, "t": len(consts), "x": len(consts) + len(ops) - 1}
+
+    def slot(ref) -> int:
+        return base[ref[0]] + ref[1]
+
+    # (slot, rule, operand slot, operand slot or -1); a power's rule holds its exponent
+    nodes = [(len(consts) + k, rule, slot(args[0]), slot(args[1]) if len(args) > 1 else -1)
+             for k, (rule, *args) in enumerate(ops)]
+    roots = [slot(root) for _, root in walks]
+    # each tree's walk: its op nodes and the variables it reads, in first-reach order
+    steps = [[nodes[ref[1]] if ref[0] == "t" else (None, None, ref[1], -1)
+              for ref in walk if ref[0] != "c"] for walk, _ in walks]
+    head = consts + [None] * len(ops)
+
+    def careful(lo: Sequence[float], hi: Sequence[float]) -> list:
+        v = [*head, *zip(lo, hi)]
+        failed: dict[int, ValueError] = {}
+        out = []
+        for walk, root in zip(steps, roots):
+            for k, rule, a, b in walk:
+                if k is None:
+                    if a > len(lo) or a > len(hi):
+                        raise DimensionError(f"variable x{a} but the box has {len(lo)} axes")
+                elif v[k] is None:
+                    if k in failed:
+                        out.append(failed[k])
+                        break
+                    try:
+                        v[k] = rule(*v[a]) if b < 0 else rule(*v[a], *v[b])
+                    except ValueError as exc:
+                        out.append(exc)
+                        failed[k] = exc
+                        break
+            else:
+                out.append(v[root])
+        return out
+
+    def run(lo: Sequence[float], hi: Sequence[float]) -> list:
+        if len(lo) < width or len(hi) < width:
+            return careful(lo, hi)
+        v = [*head, *zip(lo, hi)]
+        try:
+            for k, rule, a, b in nodes:
+                alo, ahi = v[a]
+                if b < 0:
+                    v[k] = rule(alo, ahi)
+                else:
+                    blo, bhi = v[b]
+                    v[k] = rule(alo, ahi, blo, bhi)
+        except ValueError:
+            return careful(lo, hi)
+        return [v[r] for r in roots]
+
+    return run
+
+
+def _intern(e: Expr, table: dict, consts: list, ops: list, walk: list, seen: set):
+    """The ref of e's node in lower_intervals, added with its operands where new;
+    walk gets each ref on its first reach in this tree, operands first."""
     if isinstance(e, Const):
-        c = (e.value, e.value)
-        return lambda lo, hi: c
-    if isinstance(e, Var):
-        k = e.index - 1
+        # 0.0 and -0.0 are equal but not interchangeable
+        key = ("c", e.value, math.copysign(1.0, e.value))
+        if key not in table:
+            table[key] = ("c", len(consts))
+            consts.append((e.value, e.value))
+    elif isinstance(e, Var):
+        key = ("x", operator.index(e.index))
+        table.setdefault(key, key)
+    else:
+        if isinstance(e, Power):
+            args = (_intern(e.base, table, consts, ops, walk, seen),)
+            key, rule = ("^", int(e.exponent), *args), _power_rule(int(e.exponent))
+        elif isinstance(e, Unary) and e.op in _INTERVAL_UNARY:
+            args = (_intern(e.arg, table, consts, ops, walk, seen),)
+            key, rule = (e.op, *args), _INTERVAL_UNARY[e.op]
+        elif isinstance(e, Binary) and e.op in _INTERVAL_BINARY:
+            left = _intern(e.left, table, consts, ops, walk, seen)
+            args = (left, _intern(e.right, table, consts, ops, walk, seen))
+            key, rule = (e.op, *args), _INTERVAL_BINARY[e.op]
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+        if key not in table:
+            table[key] = ("t", len(ops))
+            ops.append([rule, *args])
+    ref = table[key]
+    if ref not in seen:
+        seen.add(ref)
+        walk.append(ref)
+    return ref
 
-        def var(lo, hi):
-            try:
-                return lo[k], hi[k]
-            except IndexError:
-                raise DimensionError(
-                    f"variable x{e.index} but the box has {len(lo)} axes") from None
-        return var
-    if isinstance(e, Power):
-        return _lower_interval_power(lower_interval(e.base), e.exponent)
-    if isinstance(e, Unary) and e.op in _INTERVAL_UNARY:
-        return _lower_interval_unary(_INTERVAL_UNARY[e.op], lower_interval(e.arg))
-    if isinstance(e, Binary) and e.op in _INTERVAL_BINARY:
-        return _lower_interval_binary(_INTERVAL_BINARY[e.op], lower_interval(e.left),
-                                      lower_interval(e.right))
-    raise TypeError(f"not an expression node: {e!r}")
 
-
-def _lower_interval_power(a, n: int):
-    def power(lo, hi):
-        alo, ahi = a(lo, hi)
-        return iv_power(alo, ahi, n)
+def _power_rule(n: int):
+    def power(lo: float, hi: float) -> tuple[float, float]:
+        return iv_power(lo, hi, n)
     return power
-
-
-def _lower_interval_unary(rule, a):
-    def unary(lo, hi):
-        alo, ahi = a(lo, hi)
-        return rule(alo, ahi)
-    return unary
-
-
-def _lower_interval_binary(rule, a, b):
-    def binary(lo, hi):
-        alo, ahi = a(lo, hi)
-        blo, bhi = b(lo, hi)
-        return rule(alo, ahi, blo, bhi)
-    return binary
 
 
 _INTERVAL_UNARY = {"neg": iv_neg, "sin": iv_sin, "cos": iv_cos, "exp": iv_exp, "abs": iv_abs,

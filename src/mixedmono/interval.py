@@ -61,8 +61,8 @@ def _step(v: float) -> float:
 # Each rule takes the float endpoints of valid intervals and returns the
 # endpoints (lo, hi) of the image.  A rule whose image can leave the valid
 # intervals (overflow to [inf, inf], say) checks it and raises the ValueError
-# that Interval itself raises.  The Interval methods and the closures of
-# expr.lower_interval are thin calls of these rules.
+# that Interval itself raises.  The Interval methods and the nodes of
+# expr.lower_intervals are thin calls of these rules.
 
 def iv_checked(lo: float, hi: float) -> tuple[float, float]:
     """(lo, hi) when they are the endpoints of an Interval; Interval's ValueError otherwise."""

@@ -11,7 +11,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionError, InvalidBoundsError
-from .expr import Expr, checked, differentiate, lower_factory, lower_interval, parse, variables
+from .expr import (Expr, checked, differentiate, lower_factory, lower_intervals, parse,
+                   variables)
 from .interval import BoxDomain, Interval, iv_widen
 
 
@@ -20,8 +21,8 @@ class VectorField:
     """f: R^n -> R^m given componentwise as expression trees over x1..xn.
 
     The compiled factory of each component, the evaluators it binds, and
-    the Jacobian trees with their interval closures are built on first use
-    and kept on the instance.
+    the Jacobian trees with their shared-node interval evaluator are built
+    on first use and kept on the instance.
     """
 
     n: int
@@ -63,21 +64,27 @@ class VectorField:
                      for c in self.components)
 
     @cached_property
-    def jacobian_interval(self) -> tuple[tuple[Callable, ...], ...]:
-        """lower_interval of each tree of jacobian, in the same layout."""
-        return tuple(tuple(lower_interval(d) for d in row) for row in self.jacobian)
+    def jacobian_interval(self) -> Callable[[Sequence[float], Sequence[float]], list]:
+        """lower_intervals of the trees of jacobian, row by row: one shared-node list."""
+        return lower_intervals([d for row in self.jacobian for d in row])
 
     def jacobian_ranges(self, lo: Sequence[float], hi: Sequence[float],
                         slack: float) -> list[list[tuple[float, float]]]:
         """Endpoints of each df_i/dx_j enclosed over the box [lo, hi], widened by slack.
 
-        An entry whose range is no interval (it overflows to [inf, inf], say)
-        is enclosed by the whole line, which is always sound.
+        One run of jacobian_interval encloses all m*n entries, each shared
+        subtree once.  An entry whose range is no interval (it overflows to
+        [inf, inf], say) is enclosed by the whole line, which is always
+        sound; the other entries keep their enclosures.
         """
         if slack < 0.0:
             raise ValueError("slack must be nonnegative")
-        return [[iv_widen(*_enclose(d, lo, hi), slack) for d in row]
-                for row in self.jacobian_interval]
+        flat = [(-math.inf, math.inf) if isinstance(r, ValueError) else r
+                for r in self.jacobian_interval(lo, hi)]
+        if slack:
+            flat = [iv_widen(a, b, slack) for a, b in flat]
+        n = self.n
+        return [flat[k:k + n] for k in range(0, len(flat), n)]
 
     def lowered(self, i: int, first: tuple[bool, ...]) -> tuple[Callable, Callable]:
         """f_{i+1} bound onto a list x + y of 2n floats, once per (i, first).
@@ -102,13 +109,6 @@ class VectorField:
     def evaluate(self, point: Sequence[float]) -> np.ndarray:
         p = np.asarray(point, dtype=float).reshape(-1).tolist()
         return np.array([fn(p) for fn in self.compiled])
-
-
-def _enclose(d: Callable, lo: Sequence[float], hi: Sequence[float]) -> tuple[float, float]:
-    try:
-        return d(lo, hi)
-    except ValueError:
-        return -math.inf, math.inf
 
 
 class SignCase(Enum):
@@ -168,9 +168,10 @@ class JacobianBounds:
 def jacobian_bounds(f: VectorField, box: BoxDomain, slack: float = 1e-9) -> JacobianBounds:
     """Enclose every df_i/dx_j over the box by natural interval extension.
 
-    Each entry is the cached interval closure of the tree f.jacobian[i][j]
-    over the box (f.jacobian_ranges), widened outward by slack; slack > 0
-    also keeps constant derivatives nondegenerate so they classify cleanly.
+    Each entry is the enclosure of the tree f.jacobian[i][j] over the box
+    by the cached shared-node evaluator (f.jacobian_ranges), widened
+    outward by slack; slack > 0 also keeps constant derivatives
+    nondegenerate so they classify cleanly.
     Unbounded entries (infinite endpoints) are recorded, not raised;
     downstream constructions decide whether they are fatal.
     """

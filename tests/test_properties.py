@@ -305,6 +305,37 @@ def test_compiled_interval_matches_interval_fold(e, box):
     assert _endpoints(lower_interval(e), lo, hi) == expected
 
 
+def _enclosure_or_line(e, box):
+    """_ifold's endpoints, or the whole line where a range is no interval."""
+    try:
+        iv = _ifold(e, box)
+    except ValueError:
+        return -math.inf, math.inf
+    return iv.lo, iv.hi
+
+
+@st.composite
+def _bounded_fields(draw):
+    n = draw(st.integers(1, N))
+    m = draw(st.integers(1, 2))
+    return VectorField(n, tuple(draw(_TREES[n]) for _ in range(m))), draw(_boxes(n))
+
+
+@settings(PROPERTY, max_examples=150)
+@given(_bounded_fields())
+# df1/dx3 = (x1*x2)*(x1*x2) overflows to [inf, inf], while the entries
+# after it read its operand x1*x2 and stay bounded
+@example((VectorField.from_strings(["(x1*x2)*(x1*x2)*x3", "sin(x1*x2)"], 3),
+          BoxDomain.from_bounds([(1e100, 1e100), (1e100, 1e100), (0.0, 1.0)])))
+def test_jacobian_ranges_match_interval_fold(case):
+    f, box = case
+    ranges = f.jacobian_ranges(box.lower_corner().tolist(), box.upper_corner().tolist(), 0.0)
+    assert [len(row) for row in ranges] == [f.n] * f.m
+    got = [tuple(map(repr, pair)) for row in ranges for pair in row]
+    expected = [tuple(map(repr, _enclosure_or_line(d, box))) for row in f.jacobian for d in row]
+    assert got == expected
+
+
 _FRACTIONS = st.lists(st.floats(0.0, 1.0), min_size=N, max_size=N)
 
 
@@ -341,13 +372,6 @@ def _refine_reference(f, box, depth, epsilon, slack):
         except UnboundedDerivativeError:
             children.append(parent)
     return [intersect(hull(a, b), p) for a, b, p in zip(*children, parent)]
-
-
-@st.composite
-def _bounded_fields(draw):
-    n = draw(st.integers(1, N))
-    m = draw(st.integers(1, 2))
-    return VectorField(n, tuple(draw(_TREES[n]) for _ in range(m))), draw(_boxes(n))
 
 
 _EPSILONS = st.sampled_from([0.0, 0.25])
