@@ -47,6 +47,9 @@ from .jordan import DEFAULT_MAX_CELLS, ScalarFunction, jordan_split, total_varia
 
 _OPTION_KEYS = ("epsilon", "slack", "depth", "step", "t_end", "tol", "format")
 
+# reach keeps every RK4 step of the tube in memory: at most this many
+MAX_STEPS = 1_000_000
+
 
 @dataclass
 class Options:
@@ -304,8 +307,8 @@ def cmd_reach(args) -> int:
         raise ConfigError("step must be finite")
     if not math.isfinite(t_end):
         raise ConfigError("t_end must be finite")
-    if not math.isfinite(t_end / step):
-        raise ConfigError("t_end/step must be finite")
+    if not t_end / step <= MAX_STEPS:
+        raise ConfigError(f"t_end/step must be at most {MAX_STEPS}")
     n = cfg.dim
     x_lo = cfg.domain.lower_corner() if args.x0_lo is None else _parse_vector("--x0-lo", args.x0_lo, n)
     x_hi = cfg.domain.upper_corner() if args.x0_hi is None else _parse_vector("--x0-hi", args.x0_hi, n)
@@ -439,7 +442,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-# built once, at import: main parses every argv with it
+# built once, at import: main parses every argv with it, so only callers
+# that run main more than once in a process (tests, perfbench) save the build
 _PARSER = _build_parser()
 
 

@@ -69,17 +69,31 @@ class DecompositionSpec:
         return "x" if self.use_first[i, j] else "y"
 
 
-def _classified(i: int, j: int, a: float, b: float,
-                epsilon: float) -> tuple[bool, float, float]:
-    """(use_first, alpha, beta) of entry (i, j), 0-based, with enclosure (a, b)."""
-    if a == -math.inf and b == math.inf:
-        raise UnboundedDerivativeError(i + 1, j + 1)
-    case = classify(a, b)
-    if case is SignCase.CASE2:
-        return True, abs(a) + epsilon, 0.0
-    if case is SignCase.CASE3:
-        return False, 0.0, -(abs(b) + epsilon)
-    return case is SignCase.CASE1, 0.0, 0.0
+# module globals: looking a member up on the Enum class is slow in the per-box loop
+_CASE1, _CASE2, _CASE3 = SignCase.CASE1, SignCase.CASE2, SignCase.CASE3
+
+
+def _classified_row(i: int, row, epsilon: float) -> tuple[tuple[bool, ...], list]:
+    """Selectors and offset terms of row i (0-based) of g, from the enclosures
+    (a, b) of df_i/dx_1 .. df_i/dx_n.
+
+    first[j] is True where f_i reads x_j (CASE1, CASE2).  terms lists
+    (j, alpha_ij - beta_ij) for each sign-unstable entry, in increasing j:
+    alpha_ij = |a| + eps on CASE2 and beta_ij = -(|b| + eps) on CASE3.
+    Raises UnboundedDerivativeError on a (-inf, inf) entry and propagates
+    InvalidBoundsError from classify.
+    """
+    first, terms = [], []
+    for j, (a, b) in enumerate(row):
+        if a == -math.inf and b == math.inf:
+            raise UnboundedDerivativeError(i + 1, j + 1)
+        case = classify(a, b)
+        if case is _CASE2:
+            terms.append((j, abs(a) + epsilon))
+        elif case is _CASE3:
+            terms.append((j, abs(b) + epsilon))
+        first.append(case is _CASE1 or case is _CASE2)
+    return tuple(first), terms
 
 
 def build_decomposition(jb: JacobianBounds, epsilon: float = 0.0) -> DecompositionSpec:
@@ -95,19 +109,24 @@ def build_decomposition(jb: JacobianBounds, epsilon: float = 0.0) -> Decompositi
     alpha = np.zeros((m, n))
     beta = np.zeros((m, n))
     for i in range(m):
-        for j in range(n):
-            iv = jb.entry(i, j)
-            use_first[i, j], alpha[i, j], beta[i, j] = _classified(i, j, iv.lo, iv.hi, epsilon)
+        first, terms = _classified_row(i, [(iv.lo, iv.hi) for iv in jb.entries[i]], epsilon)
+        use_first[i] = first
+        for j, c in terms:
+            if first[j]:
+                alpha[i, j] = c
+            else:
+                beta[i, j] = -c
     return DecompositionSpec(use_first, alpha, beta, float(epsilon))
 
 
-def _row(f: VectorField, i: int, first: tuple[bool, ...], coef: list[float]):
+def _row(f: VectorField, i: int, first: tuple[bool, ...], terms: list):
     """One row of the kernel of g: the f.lowered pair of f_i for the selector
     row first, and the nonzero offset terms (j, alpha_ij - beta_ij)."""
-    if not all(map(math.isfinite, coef)):
-        raise ValueError("offsets must be finite")
+    for _, c in terms:
+        if not math.isfinite(c):
+            raise ValueError("offsets must be finite")
     fx, fy = f.lowered(i, first)
-    return fx, fy, tuple((j, c) for j, c in enumerate(coef) if c != 0.0)
+    return fx, fy, terms
 
 
 def decomposition_kernel(spec: DecompositionSpec,
@@ -123,9 +142,12 @@ def decomposition_kernel(spec: DecompositionSpec,
     """
     if spec.m != f.m or spec.n != f.n:
         raise DimensionError("decomposition shape does not match the field")
-    return partial(_kernel, f.n, [_row(f, i, tuple(spec.use_first[i].tolist()),
-                                       (spec.alpha[i] - spec.beta[i]).tolist())
-                                  for i in range(f.m)])
+    rows = []
+    for i in range(f.m):
+        coef = (spec.alpha[i] - spec.beta[i]).tolist()
+        rows.append(_row(f, i, tuple(spec.use_first[i].tolist()),
+                         [(j, c) for j, c in enumerate(coef) if c != 0.0]))
+    return partial(_kernel, f.n, rows)
 
 
 def _kernel(n: int, rows: list, s: list[float], both: bool) -> list[float]:
@@ -192,10 +214,11 @@ def refine_bounds(f: VectorField, box: BoxDomain, depth: int, epsilon: float = 0
     The recursion runs on lists of box endpoints and bracket endpoints, and
     makes Intervals only for the result.  On each box one run of the
     Jacobian's shared-node evaluator (VectorField.jacobian_ranges) gives all
-    m*n enclosures, one loop widens and classifies them into the rows of g,
-    and one call of the kernel behind decomposition_kernel gives the
-    bracket, bit for bit the bracket of jacobian_bounds,
-    build_decomposition and bound_box on that box.
+    m*n enclosures widened by slack, the row classifier of
+    build_decomposition turns them into the rows of g, and one call of the
+    kernel behind decomposition_kernel gives the bracket, bit for bit the
+    bracket of jacobian_bounds, build_decomposition and bound_box on that
+    box.
 
     Args:
         f: vector field to bound.
@@ -244,38 +267,11 @@ def _refine(f: VectorField, lo: list[float], hi: list[float], depth: int, epsilo
 
 def _bracket(f: VectorField, lo: list[float], hi: list[float], epsilon: float,
              slack: float) -> list[tuple[float, float]]:
-    """Depth-0 bracket endpoints over the box [lo, hi].
-
-    One loop widens each enclosure by slack, classifies it as
-    build_decomposition does and collects each row's nonzero offset terms;
-    the rows go to _kernel.
-    """
-    rows, finite = [], True
-    for i, row in enumerate(f.jacobian_ranges(lo, hi, 0.0)):
-        first, terms = [], []
-        for j, (a, b) in enumerate(row):
-            if slack:
-                a, b = a - slack, b + slack
-            if 0.0 <= a < b:  # CASE1
-                first.append(True)
-            elif a < b <= 0.0:  # CASE4
-                first.append(False)
-            elif a < 0.0 < b and (a > -math.inf or b < math.inf):
-                # CASE2 (the tie -a = b included) or CASE3; c is alpha_ij - beta_ij
-                if -a <= b:
-                    first.append(True)
-                    c = -a + epsilon
-                else:
-                    first.append(False)
-                    c = b + epsilon
-                finite = finite and c < math.inf
-                terms.append((j, c))
-            else:  # (-inf, inf), NaN or a >= b: _classified raises what classify does
-                _classified(i, j, a, b, epsilon)
-        rows.append((*f.lowered(i, tuple(first)), terms))
-    if not finite:
-        raise ValueError("offsets must be finite")
-    g = _kernel(f.n, rows, lo + hi, True)
+    """Depth-0 bracket endpoints over the box [lo, hi]."""
+    rows = [_classified_row(i, row, epsilon)
+            for i, row in enumerate(f.jacobian_ranges(lo, hi, slack))]
+    g = _kernel(f.n, [_row(f, i, first, terms) for i, (first, terms) in enumerate(rows)],
+                lo + hi, True)
     return [iv_checked(a, b) for a, b in zip(g[:f.m], g[f.m:])]
 
 

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import DimensionError, InvalidBoundsError
 from .expr import (Expr, checked, differentiate, lower_factory, lower_intervals, parse,
                    variables)
-from .interval import BoxDomain, Interval, iv_widen
+from .interval import BoxDomain, Interval
 
 
 @dataclass(frozen=True)
@@ -77,12 +77,12 @@ class VectorField:
         [inf, inf], say) is enclosed by the whole line, which is always
         sound; the other entries keep their enclosures.
         """
-        if slack < 0.0:
+        if not slack >= 0.0:
             raise ValueError("slack must be nonnegative")
         flat = [(-math.inf, math.inf) if isinstance(r, ValueError) else r
                 for r in self.jacobian_interval(lo, hi)]
-        if slack:
-            flat = [iv_widen(a, b, slack) for a, b in flat]
+        if slack:  # a widened interval is an interval: no iv_widen check per entry
+            flat = [(a - slack, b + slack) for a, b in flat]
         n = self.n
         return [flat[k:k + n] for k in range(0, len(flat), n)]
 
@@ -126,24 +126,29 @@ class SignCase(Enum):
     CASE4 = "case4"
 
 
+# module globals: looking a member up on the Enum class costs more than the
+# rest of classify
+_CASE1, _CASE2, _CASE3, _CASE4 = SignCase.CASE1, SignCase.CASE2, SignCase.CASE3, SignCase.CASE4
+
+
 def classify(a: float, b: float) -> SignCase:
     """Deterministic case for an open enclosure (a, b) of a partial derivative.
 
     a >= 0 wins CASE1 even with b infinite; b <= 0 wins CASE4 likewise; the
     sign-unstable tie |a| = |b| goes to CASE2.
     """
+    if a < b and (a > -math.inf or b < math.inf):  # neither NaN, not (-inf, inf)
+        if a >= 0.0:
+            return _CASE1
+        if b <= 0.0:
+            return _CASE4
+        return _CASE2 if abs(a) <= abs(b) else _CASE3
     a, b = float(a), float(b)
     if math.isnan(a) or math.isnan(b):
         raise InvalidBoundsError("enclosure endpoints must not be NaN")
     if math.isinf(a) and math.isinf(b):
         raise InvalidBoundsError("enclosure (-inf, inf) cannot be classified")
-    if a >= b:
-        raise InvalidBoundsError(f"enclosure needs a < b, got ({a}, {b})")
-    if a >= 0.0:
-        return SignCase.CASE1
-    if b <= 0.0:
-        return SignCase.CASE4
-    return SignCase.CASE2 if abs(a) <= abs(b) else SignCase.CASE3
+    raise InvalidBoundsError(f"enclosure needs a < b, got ({a}, {b})")
 
 
 @dataclass(frozen=True)

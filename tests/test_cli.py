@@ -1,16 +1,10 @@
 """Command-line interface: configs, subcommands, output schemas, exit codes."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import mixedmono
-
-from mixedmono import ConfigError
+from mixedmono import ConfigError, cli
 from mixedmono.cli import main, parse_config_text
 
 SQUARE = """\
@@ -235,13 +229,14 @@ def test_reach_rejects_non_finite_flags(capsys, cfg_file, flag, value):
     assert err == f"error: {flag[2:].replace('-', '_')} must be finite\n"
 
 
-def test_reach_rejects_a_step_count_that_overflows(capsys, cfg_file):
-    # both flags are finite, but t_end/step is not: this ended in an
-    # OverflowError traceback
-    rc, out, err = _run(capsys, ["reach", cfg_file(NEGATION), "--t-end", "1e10",
-                                 "--step", "1e-300"])
+@pytest.mark.parametrize("t_end, step", [("1e10", "1e-300"), ("1e10", "1e-290"),
+                                         ("1000.5", "1e-3")])
+def test_reach_rejects_too_many_steps(capsys, cfg_file, t_end, step):
+    # 1e10/1e-300 ended in an OverflowError traceback; 1e10/1e-290 is
+    # finite and ran without end, keeping every step in memory
+    rc, out, err = _run(capsys, ["reach", cfg_file(NEGATION), "--t-end", t_end, "--step", step])
     assert rc == 1 and out == ""
-    assert err == "error: t_end/step must be finite\n"
+    assert err == "error: t_end/step must be at most 1000000\n"
 
 
 # -- tv ----------------------------------------------------------------------------
@@ -387,16 +382,7 @@ def test_tv_split_is_consistent_with_printed_variation(capsys):
     assert plus[-1] == tv
 
 
-def _alone(argv):
-    """Exit code and stdout of argv run as the one command of a fresh interpreter."""
-    src = str(Path(mixedmono.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-m", "mixedmono.cli", *argv], capture_output=True,
-                          text=True, env=env, timeout=120)
-    return done.returncode, done.stdout
-
-
-def test_one_parser_serves_consecutive_commands(capsys, cfg_file):
+def test_one_parser_serves_consecutive_commands(capsys, cfg_file, monkeypatch):
     # main parses every argv with the parser built at import; a usage error
     # must leave nothing behind for the commands after it
     square = cfg_file(SQUARE)
@@ -404,6 +390,10 @@ def test_one_parser_serves_consecutive_commands(capsys, cfg_file):
                 ["bound", square, "--depth", "2"],
                 ["reach", cfg_file(NEGATION, "decay.ini"), "--t-end", "0.2", "--step", "0.1"],
                 ["tv", square, "--grid", "3"]]
-    in_process = [_run(capsys, argv)[:2] for argv in commands]
-    assert [rc for rc, _ in in_process] == [1, 0, 0, 0]
-    assert in_process == [_alone(argv) for argv in commands]
+    in_sequence = [_run(capsys, argv)[:2] for argv in commands]
+    assert [rc for rc, _ in in_sequence] == [1, 0, 0, 0]
+    alone = []
+    for argv in commands:
+        monkeypatch.setattr(cli, "_PARSER", cli._build_parser())
+        alone.append(_run(capsys, argv)[:2])
+    assert in_sequence == alone
