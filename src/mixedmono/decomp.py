@@ -100,7 +100,7 @@ def build_decomposition(jb: JacobianBounds, epsilon: float = 0.0) -> Decompositi
     """Classify every enclosure and assemble selectors and offsets.
 
     Raises UnboundedDerivativeError naming the first (-inf, inf) entry, and
-    propagates InvalidBoundsError from degenerate enclosures.
+    propagates InvalidBoundsError from enclosures that are no interval.
     """
     if epsilon < 0.0:
         raise ValueError("epsilon must be nonnegative")

@@ -135,7 +135,8 @@ def classify(a: float, b: float) -> SignCase:
     """Deterministic case for an open enclosure (a, b) of a partial derivative.
 
     a >= 0 wins CASE1 even with b infinite; b <= 0 wins CASE4 likewise; the
-    sign-unstable tie |a| = |b| goes to CASE2.
+    sign-unstable tie |a| = |b| goes to CASE2.  A finite point enclosure
+    a == b, a constant derivative enclosed with no slack, is sign-stable.
     """
     if a < b and (a > -math.inf or b < math.inf):  # neither NaN, not (-inf, inf)
         if a >= 0.0:
@@ -143,6 +144,8 @@ def classify(a: float, b: float) -> SignCase:
         if b <= 0.0:
             return _CASE4
         return _CASE2 if abs(a) <= abs(b) else _CASE3
+    if a == b and math.isfinite(a):
+        return _CASE1 if a >= 0.0 else _CASE4
     a, b = float(a), float(b)
     if math.isnan(a) or math.isnan(b):
         raise InvalidBoundsError("enclosure endpoints must not be NaN")
@@ -175,8 +178,8 @@ def jacobian_bounds(f: VectorField, box: BoxDomain, slack: float = 1e-9) -> Jaco
 
     Each entry is the enclosure of the tree f.jacobian[i][j] over the box
     by the cached shared-node evaluator (f.jacobian_ranges), widened
-    outward by slack; slack > 0 also keeps constant derivatives
-    nondegenerate so they classify cleanly.
+    outward by slack.  With slack = 0 a constant derivative c has the point
+    enclosure (c, c), which classify takes as sign-stable.
     Unbounded entries (infinite endpoints) are recorded, not raised;
     downstream constructions decide whether they are fatal.
     """

@@ -1,15 +1,14 @@
 """Total variation, monotone splits, and variation-based decompositions for scalar functions.
 
-Two computation paths:
-
-* smooth expressions: the derivative's sign changes are localized (coarse
-  scan plus bisection), then |f'| is integrated piecewise by adaptive
-  quadrature, with the pieces cached per function;
-* expressions with kinks (abs/min/max): dyadic partition sums augmented with
-  bisection-localized interior extrema, doubled until successive estimates
-  stabilize.  The converged partition is kept with the running sums of
-  |Δf| over its nodes, so the Jordan split reads f+ at any point of the
-  domain from one partition by prefix sums.
+One engine serves every function: dyadic partition sums, each augmented with
+the interior extrema detected at that resolution (bisected on f'), doubled
+until two successive estimates in a row differ by less than tol.  For a
+smooth function the ladder may also stop only once its sum reaches a floor:
+the partition sum over the zeros and bisected sign changes of f' on a fixed
+scan grid, a lower bound on the variation as every partition sum is.  The
+converged partition is kept with the running sums of |Δf| over its nodes,
+so the variation, the Jordan split at any point of the domain, and the
+whole-line construction are all read from it by prefix sums.
 
 The splits here complement the Jacobian-based construction in decomp: they
 need no derivative enclosures, only bounded variation, at the price of a
@@ -36,18 +35,11 @@ DEFAULT_MAX_CELLS = 2 ** 20
 
 
 def quad(func, a, b, **kwargs):
-    """scipy.integrate.quad, imported on first use: the import costs more than
-    the rest of the package, and only the smooth path needs it."""
+    """scipy.integrate.quad, imported on first use.  Nothing in the package
+    calls it: perfbench/layers.py traces jordan.quad by name, and its --trace
+    run fails with AttributeError without it.  It goes with that layer."""
     from scipy.integrate import quad as scipy_quad
     return scipy_quad(func, a, b, **kwargs)
-
-
-def _sgn(v: float) -> float:
-    if v > 0.0:
-        return 1.0
-    if v < 0.0:
-        return -1.0
-    return 0.0
 
 
 def _bisect_sign_change(deriv: Callable[[float], float], a: float, b: float,
@@ -67,94 +59,6 @@ def _bisect_sign_change(deriv: Callable[[float], float], a: float, b: float,
     return 0.5 * (a + b)
 
 
-class _SignProfile:
-    """Piecewise sign structure of f' over a window, with cached |f'| integrals."""
-
-    def __init__(self, deriv: Callable[[float], float], lo: float, hi: float, tol: float):
-        self.deriv = deriv
-        self.lo, self.hi, self.tol = lo, hi, tol
-        grid = np.linspace(lo, hi, _SCAN_CELLS + 1)
-        vals = np.array([deriv(t) for t in grid])
-        pts = [lo]
-        for k in range(_SCAN_CELLS):
-            a, b = float(grid[k]), float(grid[k + 1])
-            fa, fb = float(vals[k]), float(vals[k + 1])
-            if fa == 0.0 and a > pts[-1]:
-                pts.append(a)
-            if fa * fb < 0.0:
-                c = self._bisect(a, b, fa, fb)
-                if c > pts[-1]:
-                    pts.append(c)
-        if hi > pts[-1]:
-            pts.append(hi)
-        self.points = np.array(pts)
-        count = len(pts) - 1
-        self.signs = np.zeros(count)
-        self.piece_tv = np.zeros(count)
-        eps_piece = tol / (2.0 * max(count, 1))
-        err_total = 0.0
-        for k in range(count):
-            a, b = pts[k], pts[k + 1]
-            self.signs[k] = _sgn(deriv(0.5 * (a + b)))
-            val, err = self._quad_abs(a, b, eps_piece)
-            self.piece_tv[k] = val
-            err_total += err
-        if err_total > tol:
-            raise NonConvergenceError(
-                f"quadrature error {err_total:.3g} exceeds tolerance {tol:.3g}")
-        neg = np.where(self.signs < 0.0, self.piece_tv, 0.0)
-        self.cum = np.concatenate([[0.0], np.cumsum(self.piece_tv)])
-        self.cum_neg = np.concatenate([[0.0], np.cumsum(neg)])
-
-    def _bisect(self, a: float, b: float, fa: float, fb: float) -> float:
-        return _bisect_sign_change(self.deriv, a, b, fa, fb)
-
-    def _quad_abs(self, a: float, b: float, epsabs: float) -> tuple[float, float]:
-        if b <= a:
-            return 0.0, 0.0
-        out = quad(lambda t: abs(self.deriv(t)), a, b, epsabs=epsabs, limit=200,
-                   full_output=1)
-        return float(out[0]), float(out[1])
-
-    def _locate(self, a: float, b: float) -> tuple[int, int]:
-        pts = self.points
-        last = len(pts) - 2
-        ka = min(max(int(np.searchsorted(pts, a, side="right")) - 1, 0), last)
-        kb = min(max(int(np.searchsorted(pts, b, side="left")) - 1, 0), last)
-        return ka, kb
-
-    def _ranged(self, a: float, b: float, negative_only: bool) -> float:
-        a = max(float(a), self.lo)
-        b = min(float(b), self.hi)
-        if b <= a:
-            return 0.0
-        pts = self.points
-        piece = np.where(self.signs < 0.0, self.piece_tv, 0.0) if negative_only else self.piece_tv
-        cum = self.cum_neg if negative_only else self.cum
-        eps = self.tol / 4.0
-        ka, kb = self._locate(a, b)
-
-        def partial(u: float, v: float, k: int) -> float:
-            if negative_only and self.signs[k] >= 0.0:
-                return 0.0
-            return self._quad_abs(u, v, eps)[0]
-
-        if ka == kb:
-            if a == pts[ka] and b == pts[ka + 1]:
-                return float(piece[ka])
-            return partial(a, b, ka)
-        head = float(piece[ka]) if a == pts[ka] else partial(a, pts[ka + 1], ka)
-        tail = float(piece[kb]) if b == pts[kb + 1] else partial(pts[kb], b, kb)
-        return head + float(cum[kb] - cum[ka + 1]) + tail
-
-    def tv(self, a: float, b: float) -> float:
-        return self._ranged(a, b, negative_only=False)
-
-    def neg_tv(self, a: float, b: float) -> float:
-        """Variation contributed by the decreasing pieces only."""
-        return self._ranged(a, b, negative_only=True)
-
-
 @dataclass(eq=False)
 class ScalarFunction:
     """A scalar expression of x1 on a finite interval, or on the whole line.
@@ -168,7 +72,7 @@ class ScalarFunction:
     _f: Callable[[list[float]], float] = field(init=False, repr=False, compare=False)
     _df: Optional[Callable[[list[float]], float]] = field(default=None, init=False, repr=False,
                                                           compare=False)
-    _prof: Optional[_SignProfile] = field(default=None, init=False, repr=False, compare=False)
+    _df_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _partition_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _split_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _unbounded_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -197,19 +101,16 @@ class ScalarFunction:
         return is_smooth(self.expr)
 
     def derivative(self, t: float) -> float:
-        if self._df is None:
-            self._df = compile_expr(differentiate(self.expr, 1))
-        return self._df([float(t)])
-
-    def _profile(self, lo: float, hi: float, tol: float) -> _SignProfile:
-        pr = self._prof
-        if pr is not None and pr.lo <= lo and hi <= pr.hi and pr.tol <= tol:
-            return pr
-        new_lo = lo if pr is None else min(lo, pr.lo)
-        new_hi = hi if pr is None else max(hi, pr.hi)
-        new_tol = tol if pr is None else min(tol, pr.tol)
-        self._prof = _SignProfile(self.derivative, new_lo, new_hi, new_tol)
-        return self._prof
+        """f'(t), memoized: the ladder's grids nest in the scan's, and the
+        bisections of one extremum at successive levels pass through the same
+        midpoints, so about half of a smooth partition's calls repeat a point."""
+        t = float(t)
+        d = self._df_memo.get(t)
+        if d is None:
+            if self._df is None:
+                self._df = compile_expr(differentiate(self.expr, 1))
+            d = self._df_memo[t] = self._df([t])
+        return d
 
 
 def _check_sub(f: ScalarFunction, sub: Interval):
@@ -262,12 +163,40 @@ class _Partition(NamedTuple):
     vals: list[float]
     cum: list[float]
 
+    def variation_to(self, f: ScalarFunction, x: float) -> float:
+        """cum[k] + |f(x) - f(p_k)|, p_k the last node <= x: the prefix sum at a
+        node, and elsewhere the sum of the partition refined by x."""
+        k = bisect_right(self.nodes, x) - 1
+        return self.cum[k] + abs(f(x) - self.vals[k])
+
+
+def _variation_floor(f: ScalarFunction, a: float, b: float) -> float:
+    """Partition sum of f over a, b and the zeros and bisected sign changes of
+    f' on _SCAN_CELLS cells: a lower bound on the variation, as every
+    partition sum is, that already resolves every extremum the scan sees."""
+    grid = np.linspace(a, b, _SCAN_CELLS + 1).tolist()
+    d = [f.derivative(t) for t in grid]
+    pts = [a]
+    for k in range(_SCAN_CELLS):
+        if d[k] == 0.0:
+            pts.append(grid[k])
+        elif d[k] * d[k + 1] < 0.0:
+            pts.append(_bisect_sign_change(f.derivative, grid[k], grid[k + 1], d[k], d[k + 1]))
+    pts.append(b)
+    vals = [f(t) for t in pts]
+    return sum(abs(v - u) for u, v in zip(vals, vals[1:]))
+
 
 def _partition(f: ScalarFunction, a: float, b: float, tol: float, max_cells: int) -> _Partition:
     key = (a, b, tol, max_cells)
     cached = f._partition_cache.get(key)
     if cached is not None:
         return cached
+    if a == b:
+        return _Partition([a], [f(a)], [0.0])
+    # two coarse sums can agree while both alias a fast oscillation, so a
+    # smooth function's ladder also has to reach the scan's floor
+    floor = _variation_floor(f, a, b) - tol if f.smooth else -math.inf
     cells = _PARTITION_START
     prev = None
     small_diffs = 0
@@ -286,7 +215,7 @@ def _partition(f: ScalarFunction, a: float, b: float, tol: float, max_cells: int
             # one small difference can be a stall (a missed extremum keeps its
             # grid distance across a doubling), so demand two in a row
             small_diffs = small_diffs + 1 if abs(tv - prev) < tol else 0
-            if small_diffs >= 2:
+            if small_diffs >= 2 and tv >= floor:
                 part = f._partition_cache[key] = _Partition(xs.tolist(), vals.tolist(),
                                                             cum.tolist())
                 return part
@@ -300,20 +229,18 @@ def total_variation(f: ScalarFunction, sub: Interval, tol: float = 1e-8,
                     max_cells: int = DEFAULT_MAX_CELLS) -> float:
     """Total variation of f over sub.
 
-    Smooth path integrates |f'| piecewise between localized sign changes;
-    the kink path (abs/min/max in the tree) doubles dyadic partition sums,
-    each augmented with the extrema detected at that resolution, until
-    successive estimates differ by less than tol, raising
-    NonConvergenceError at the cell cap.  The kink path's value is the last
-    running sum of the converged partition, which jordan_split reads too.
+    Doubles dyadic partition sums over sub, each augmented with the extrema
+    detected at that resolution, until two successive estimates in a row
+    differ by less than tol and, for a smooth f, the estimate is within tol
+    of the floor from the scan of f'.  Raises NonConvergenceError at the
+    cell cap max_cells.  The value is the last running sum of the converged
+    partition, which jordan_split reads too.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     _check_sub(f, sub)
     if sub.width == 0.0:
         return 0.0
-    if f.smooth:
-        return f._profile(sub.lo, sub.hi, tol).tv(sub.lo, sub.hi)
     return _partition(f, sub.lo, sub.hi, tol, max_cells).cum[-1]
 
 
@@ -335,30 +262,20 @@ def jordan_split(f: ScalarFunction, tol: float = 1e-8,
                  max_cells: int = DEFAULT_MAX_CELLS) -> JordanSplit:
     """Split a finite-domain function of bounded variation into monotone halves.
 
-    f_plus(x) is the variation of f over [lo, x].  On the kink path it is
-    read from the partition that total_variation converged on over the whole
-    domain: cum[k] + |f(x) - f(p_k)|, where p_k is the last node <= x.  At a
-    node that is the prefix sum; elsewhere it is the variation of the
-    partition refined by x.  So no second partition is built, f_plus is
-    nondecreasing over the nodes, and f_plus(hi) is the total variation bit
-    for bit.  The smooth path integrates |f'| over [lo, x] from the cached
-    sign profile.  max_cells caps the kink path's partition, as in
-    total_variation.
+    f_plus(x) is the variation of f over [lo, x], read from the partition
+    that total_variation converged on over the whole domain:
+    cum[k] + |f(x) - f(p_k)|, where p_k is the last node <= x.  At a node
+    that is the prefix sum; elsewhere it is the variation of the partition
+    refined by x.  So no second partition is built, f_plus is nondecreasing
+    over the nodes, and f_plus(hi) is the total variation bit for bit.
+    max_cells caps the partition, as in total_variation.
     """
     if f.domain is None:
         raise ValueError("a finite domain is required for a two-sided split")
     domain = f.domain
-    # computing the full variation both validates bounded variation and warms caches
+    # validates tol and converges the partition that the split reads
     total_variation(f, domain, tol, max_cells)
-    if f.smooth or domain.width == 0.0:
-        def variation_to(x: float) -> float:
-            return total_variation(f, Interval(domain.lo, x), tol, max_cells)
-    else:
-        part = _partition(f, domain.lo, domain.hi, tol, max_cells)
-
-        def variation_to(x: float) -> float:
-            k = bisect_right(part.nodes, x) - 1
-            return part.cum[k] + abs(f(x) - part.vals[k])
+    part = _partition(f, domain.lo, domain.hi, tol, max_cells)
     memo: dict[float, float] = {}
 
     def fplus(x: float) -> float:
@@ -366,7 +283,7 @@ def jordan_split(f: ScalarFunction, tol: float = 1e-8,
         if not domain.contains(x):
             raise ValueError(f"{x} outside the domain [{domain.lo}, {domain.hi}]")
         if x not in memo:
-            memo[x] = variation_to(x)
+            memo[x] = part.variation_to(f, x)
         return memo[x]
 
     def fminus(x: float) -> float:
@@ -376,28 +293,17 @@ def jordan_split(f: ScalarFunction, tol: float = 1e-8,
 
 
 def bv_decomposition_eval(f: ScalarFunction, x: float, y: float, tol: float = 1e-8) -> float:
-    """Two-argument decomposition value g(x, y) from the variation structure.
+    """Two-argument decomposition value g(x, y) = f_plus(x) + f_minus(y).
 
-    Smooth path: g(x, y) = f(x) + delta(x) - delta(y) where delta doubles the
-    variation of the decreasing pieces from the domain's lower end.  Kink
-    path: g(x, y) = f_plus(x) + f_minus(y) from the Jordan split.  Both agree
-    with f on the diagonal, are nondecreasing in x and nonincreasing in y,
-    and bracket f over [lo, hi] via g(lo, hi) <= f <= g(hi, lo).
+    The halves come from the Jordan split, built once per tol and kept on f.
+    g agrees with f on the diagonal, is nondecreasing in x and nonincreasing
+    in y, and brackets f over [lo, hi] via g(lo, hi) <= f <= g(hi, lo).
     """
     if f.domain is None:
         raise ValueError("use unbounded_decomposition for whole-line functions")
-    x, y = float(x), float(y)
-    for v in (x, y):
-        if not f.domain.contains(v):
-            raise ValueError(f"{v} outside the domain [{f.domain.lo}, {f.domain.hi}]")
-    if f.smooth:
-        prof = f._profile(f.domain.lo, f.domain.hi, tol)
-        lo = f.domain.lo
-        return f(x) + 2.0 * prof.neg_tv(lo, x) - 2.0 * prof.neg_tv(lo, y)
     split = f._split_cache.get(tol)
     if split is None:
-        split = jordan_split(f, tol)
-        f._split_cache[tol] = split
+        split = f._split_cache[tol] = jordan_split(f, tol)
     return split.fplus(x) + split.fminus(y)
 
 
@@ -419,8 +325,12 @@ class UnboundedSplit:
 def unbounded_split(f: ScalarFunction, tol: float = 1e-8) -> UnboundedSplit:
     """Base-point construction for functions declared on the whole line.
 
-    Requires bounded variation on every compact interval; each evaluation
-    computes variation between the argument and the base point 0.
+    Requires bounded variation on every compact interval.  g1 and g2 read
+    the variation between their argument and the base point 0 from one
+    partition of a window [lo, hi] around 0, by the prefix read of
+    jordan_split.  An argument outside the window grows that side to at
+    least twice its reach, and the window is partitioned again; so a sweep
+    over arguments builds a few partitions, not one per argument.
     """
     if f.domain is not None:
         raise ValueError("function must be declared on the whole line (domain=None)")
@@ -428,25 +338,28 @@ def unbounded_split(f: ScalarFunction, tol: float = 1e-8) -> UnboundedSplit:
     if cached is not None:
         return cached
     f0 = f(0.0)
+    lo = hi = 0.0
+    part = _partition(f, lo, hi, tol, DEFAULT_MAX_CELLS)
 
-    def tv(a: float, b: float) -> float:
-        return total_variation(f, Interval(a, b), tol)
+    def from_0(x: float) -> float:
+        """Variation of f over [0, x], or minus that over [x, 0] when x < 0."""
+        nonlocal lo, hi, part
+        if not math.isfinite(x):
+            raise ValueError("arguments must be finite")
+        if not lo <= x <= hi:
+            lo, hi = (min(x, 2.0 * lo), hi) if x < lo else (lo, max(x, 2.0 * hi))
+            part = _partition(f, lo, hi, tol, DEFAULT_MAX_CELLS)
+        return part.variation_to(f, x) - part.variation_to(f, 0.0)
 
     def g1(x: float) -> float:
         x = float(x)
-        if not math.isfinite(x):
-            raise ValueError("arguments must be finite")
-        if x >= 0.0:
-            return tv(0.0, x)
-        return (f(x) - f0) - tv(x, 0.0)
+        v = from_0(x)
+        return v if x >= 0.0 else (f(x) - f0) + v
 
     def g2(y: float) -> float:
         y = float(y)
-        if not math.isfinite(y):
-            raise ValueError("arguments must be finite")
-        if y >= 0.0:
-            return (f(y) - f0) - tv(0.0, y)
-        return tv(y, 0.0)
+        v = from_0(y)
+        return (f(y) - f0) - v if y >= 0.0 else -v
 
     out = UnboundedSplit(g1, g2, f0, tol)
     f._unbounded_cache[tol] = out

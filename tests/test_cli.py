@@ -154,6 +154,16 @@ def test_bound_grid_check(capsys, cfg_file):
     assert lines[1].endswith("enclosed=yes")
 
 
+def test_bound_and_decompose_with_no_slack_on_a_linear_component(capsys, cfg_file):
+    # the constant derivative 2 is enclosed by the point (2, 2)
+    path = cfg_file(NEGATION.replace('"-x1"', '"2*x1"').replace("slack = 1e-10", "slack = 0"))
+    rc, out, err = _run(capsys, ["bound", path])
+    assert (rc, out, err) == (0, "f1 ∈ [0, 2]\n", "")
+    rc, out, err = _run(capsys, ["decompose", path])
+    assert rc == 0 and err == ""
+    assert out.splitlines() == ["f1/x1: a=2 b=2 case=case1 z=x alpha=0 beta=0", "g1 = 2*x1"]
+
+
 def test_bound_csv_schema(capsys, cfg_file):
     rc, out, _ = _run(capsys, ["bound", cfg_file(COUPLED), "--format", "csv", "--check"])
     assert rc == 0
@@ -337,6 +347,14 @@ x1 = [2, 2]
 """
     rc, _, err = _run(capsys, ["reach", cfg_file(text), "--t-end", "1"])
     assert rc == 3 and "cap exceeded" in err
+
+
+def test_tv_of_a_fast_oscillation(capsys):
+    # 1400 sign changes of f' on 1024 scan cells; the variation is 2800
+    rc, out, err = _run(capsys, ["tv", "--expr", "sin(700*x1)", "--a", "0",
+                                 "--b", "6.283185307179586", "--grid", "3"])
+    assert rc == 0 and err == ""
+    assert out.splitlines()[0] == "TV = 2800"
 
 
 def test_exit_code_for_non_convergence(capsys):

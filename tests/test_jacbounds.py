@@ -102,11 +102,19 @@ def test_classify_exhaustive_grid():
 
 
 def test_classify_invalid():
-    with pytest.raises(InvalidBoundsError):
-        classify(1.0, 1.0)
-    with pytest.raises(InvalidBoundsError):
+    with pytest.raises(InvalidBoundsError, match=r"needs a < b, got \(2.0, 1.0\)"):
         classify(2.0, 1.0)
-    with pytest.raises(InvalidBoundsError):
-        classify(-INF, INF)
-    with pytest.raises(InvalidBoundsError):
+    for a, b in ((-INF, INF), (INF, INF), (-INF, -INF)):
+        with pytest.raises(InvalidBoundsError, match="cannot be classified"):
+            classify(a, b)
+    with pytest.raises(InvalidBoundsError, match="NaN"):
         classify(math.nan, 1.0)
+    with pytest.raises(InvalidBoundsError, match="NaN"):
+        classify(math.nan, math.nan)
+
+
+def test_classify_point_enclosure():
+    # a constant derivative enclosed with no slack is the point (c, c)
+    assert classify(2.0, 2.0) is SignCase.CASE1
+    assert classify(0.0, 0.0) is SignCase.CASE1
+    assert classify(-1.0, -1.0) is SignCase.CASE4

@@ -1,10 +1,14 @@
 """Total variation, monotone splits, and the variation-based bracket."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mixedmono
 from mixedmono import (DimensionError, Interval, NonConvergenceError, ScalarFunction,
                        bv_decomposition_eval, jordan_split, total_variation,
                        unbounded_decomposition, unbounded_split)
@@ -114,6 +118,31 @@ def test_variation_with_kink_against_quadrature():
     down = quad(lambda t: abs(-1.0 + 5.0 * math.cos(5.0 * t)), -2.0, 0.0, limit=400)[0]
     got = total_variation(f, Interval(-2.0, 2.0), tol=1e-8)
     assert got == pytest.approx(up + down, abs=1e-6)
+
+
+def test_variation_of_a_fast_oscillation():
+    # f' changes sign 1400 times, more often than the scan of f' has cells,
+    # and coarse partition sums alias the oscillation
+    f = _on("sin(700*x1)", 0.0, TWO_PI)
+    assert total_variation(f, f.domain) == pytest.approx(2800.0, abs=1e-6)
+
+
+def test_variation_of_a_narrow_smooth_bump():
+    # every dyadic grid misses the bump (width 1e-3) until thousands of cells;
+    # the floor from the scan of f' keeps the partition sums going
+    f = _on("exp(-1e6*(x1-0.3001)^2)", -1.0, 1.0)
+    assert total_variation(f, f.domain) == pytest.approx(2.0, abs=1e-8)
+
+
+def test_smooth_variation_imports_no_scipy():
+    src = str(Path(mixedmono.__file__).resolve().parents[1])
+    code = (f"import sys\nsys.path.insert(0, {src!r})\n"
+            "from mixedmono.cli import main\n"
+            "assert main(['tv', '--expr', 'x1*sin(x1)', '--a', '-3', '--b', '4']) == 0\n"
+            "print('scipy' in sys.modules, 'numpy' in sys.modules)\n")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert run.stdout.splitlines()[-1] == "False True"
 
 
 def test_variation_input_validation():

@@ -375,7 +375,7 @@ def _refine_reference(f, box, depth, epsilon, slack):
 
 
 _EPSILONS = st.sampled_from([0.0, 0.25])
-# with no slack, any constant derivative is a degenerate enclosure (InvalidBoundsError)
+# with no slack, any constant derivative is a point enclosure
 _SLACKS = st.sampled_from([1e-9, 1e-9, 1e-9, 0.0])
 
 
