@@ -21,21 +21,23 @@ Config layout::
     format = text
 
 All [options] keys are optional.  Exit codes: 0 success, 1 config or usage
-error, 2 unbounded derivative enclosure, 3 integration blowup, 4
-non-convergence, 5 an evaluation error (division by zero, overflow, sin or
-cos of an infinity) at a point the command evaluates.
+error, or stdout closed before the output was written (a broken pipe, as in
+`mixedmono tv ... | head -1`), 2 unbounded derivative enclosure, 3
+integration blowup, 4 non-convergence, 5 an evaluation error (division by
+zero, overflow, sin or cos of an infinity) at a point the command
+evaluates.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .decomp import build_decomposition, format_decomposition, refine_bounds
 from .embed import build_embedding, integrate_embedding
@@ -43,7 +45,7 @@ from .errors import (BlowupError, ConfigError, EvalError, NonConvergenceError, P
                      ToolkitError, UnboundedDerivativeError)
 from .interval import BoxDomain, Interval
 from .jacbounds import VectorField, classify, jacobian_bounds
-from .jordan import DEFAULT_MAX_CELLS, ScalarFunction, jordan_split, total_variation
+from .jordan import DEFAULT_MAX_CELLS, ScalarFunction, jordan_split, linspace, total_variation
 
 _OPTION_KEYS = ("epsilon", "slack", "depth", "step", "t_end", "tol", "format")
 
@@ -221,7 +223,7 @@ def cmd_decompose(args) -> int:
                 case = classify(iv.lo, iv.hi)
                 out.append(",".join([
                     str(i + 1), str(j + 1), _fmt(iv.lo), _fmt(iv.hi), case.value,
-                    spec.selector(i, j), _fmt(spec.alpha[i, j]), _fmt(spec.beta[i, j]),
+                    spec.selector(i, j), _fmt(spec.alpha[i][j]), _fmt(spec.beta[i][j]),
                     f'"{g_expr}"',
                 ]))
     else:
@@ -232,7 +234,7 @@ def cmd_decompose(args) -> int:
                 out.append(
                     f"f{i + 1}/x{j + 1}: a={_fmt(iv.lo)} b={_fmt(iv.hi)} "
                     f"case={case.value} z={spec.selector(i, j)} "
-                    f"alpha={_fmt(spec.alpha[i, j])} beta={_fmt(spec.beta[i, j])}")
+                    f"alpha={_fmt(spec.alpha[i][j])} beta={_fmt(spec.beta[i][j])}")
             out.append(g_lines[i])
     print("\n".join(out))
     return 0
@@ -240,14 +242,15 @@ def cmd_decompose(args) -> int:
 
 def _grid_minmax(field: VectorField, box: BoxDomain, total: int = 10000):
     per_axis = max(2, int(round(total ** (1.0 / box.n))))
-    axes = [np.linspace(iv.lo, iv.hi, per_axis) for iv in box.intervals]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1).tolist()
+    pts = list(itertools.product(*(linspace(iv.lo, iv.hi, per_axis - 1)
+                                   for iv in box.intervals)))
     lows, highs = [], []
     for comp in field.compiled:
-        vals = np.array([comp(p) for p in pts])
-        lows.append(float(vals.min()))
-        highs.append(float(vals.max()))
+        vals = [comp(p) for p in pts]
+        # the last of equal extremes wins: it fixes the sign printed for a
+        # zero bound met with both signs
+        lows.append(min(reversed(vals)))
+        highs.append(max(reversed(vals)))
     return lows, highs
 
 
@@ -281,7 +284,7 @@ def cmd_bound(args) -> int:
     return 0
 
 
-def _parse_vector(flag: str, raw: str, n: int) -> np.ndarray:
+def _parse_vector(flag: str, raw: str, n: int) -> list[float]:
     parts = [p.strip() for p in raw.split(",")]
     try:
         vals = [float(p) for p in parts]
@@ -291,7 +294,7 @@ def _parse_vector(flag: str, raw: str, n: int) -> np.ndarray:
         raise ConfigError(f"{flag}: expected {n} entries, got {len(vals)}")
     if not all(math.isfinite(v) for v in vals):
         raise ConfigError(f"{flag}: entries must be finite")
-    return np.array(vals)
+    return vals
 
 
 def cmd_reach(args) -> int:
@@ -312,7 +315,7 @@ def cmd_reach(args) -> int:
     n = cfg.dim
     x_lo = cfg.domain.lower_corner() if args.x0_lo is None else _parse_vector("--x0-lo", args.x0_lo, n)
     x_hi = cfg.domain.upper_corner() if args.x0_hi is None else _parse_vector("--x0-hi", args.x0_hi, n)
-    if np.any(x_lo > x_hi):
+    if any(a > b for a, b in zip(x_lo, x_hi)):
         raise ConfigError("initial box needs x0-lo <= x0-hi componentwise")
 
     jb = jacobian_bounds(cfg.field, cfg.domain, slack=cfg.options.slack)
@@ -372,7 +375,7 @@ def cmd_tv(args) -> int:
     split = jordan_split(f, tol, max_cells=args.max_cells)
     g_lo_hi = split.fplus(domain.lo) + split.fminus(domain.hi)
     g_hi_lo = split.fplus(domain.hi) + split.fminus(domain.lo)
-    xs = np.linspace(domain.lo, domain.hi, args.grid)
+    xs = linspace(domain.lo, domain.hi, args.grid - 1)
     out = []
     if fmt == "csv":
         out.append("x,fplus,fminus,tv,lower,upper")
@@ -456,7 +459,14 @@ def main(argv=None) -> int:
     """
     try:
         args = _PARSER.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the recipe of Python's signal docs: stdout to devnull, so the flush
+        # at exit cannot fail again with a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-import numpy as np
-
 from .errors import DimensionError, EvalError, UnboundedDerivativeError
 from .expr import to_string
 from .interval import BoxDomain, Interval, iv_checked, iv_hull, iv_intersect
@@ -30,25 +28,26 @@ from .jacbounds import JacobianBounds, SignCase, VectorField, classify
 class DecompositionSpec:
     """Per-entry argument selectors and offset vectors of a decomposition.
 
-    use_first[i, j] is True when row i feeds x_j (the first argument) into
+    Each matrix is m row tuples of n entries, indexed [i][j].
+    use_first[i][j] is True when row i feeds x_j (the first argument) into
     f_i, False when it feeds y_j.  alpha is nonnegative, beta nonpositive;
     both are zero on sign-stable entries.
     """
 
-    use_first: np.ndarray  # (m, n) bool
-    alpha: np.ndarray      # (m, n) float, >= 0
-    beta: np.ndarray       # (m, n) float, <= 0
+    use_first: tuple[tuple[bool, ...], ...]
+    alpha: tuple[tuple[float, ...], ...]   # >= 0
+    beta: tuple[tuple[float, ...], ...]    # <= 0
     epsilon: float
 
     def __post_init__(self):
-        uf = np.asarray(self.use_first, dtype=bool)
-        al = np.asarray(self.alpha, dtype=float)
-        be = np.asarray(self.beta, dtype=float)
-        if uf.ndim != 2 or al.shape != uf.shape or be.shape != uf.shape:
+        uf = tuple(tuple(map(bool, row)) for row in self.use_first)
+        al = tuple(tuple(map(float, row)) for row in self.alpha)
+        be = tuple(tuple(map(float, row)) for row in self.beta)
+        if len({len(row) for row in uf + al + be}) != 1 or not len(uf) == len(al) == len(be):
             raise DimensionError("selector and offset matrices must share an (m, n) shape")
-        if not np.all(np.isfinite(al)) or not np.all(np.isfinite(be)):
+        if not all(math.isfinite(v) for row in al + be for v in row):
             raise ValueError("offsets must be finite")
-        if np.any(al < 0.0) or np.any(be > 0.0):
+        if any(v < 0.0 for row in al for v in row) or any(v > 0.0 for row in be for v in row):
             raise ValueError("alpha must be nonnegative and beta nonpositive")
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
             raise ValueError("epsilon must be finite and nonnegative")
@@ -58,15 +57,15 @@ class DecompositionSpec:
 
     @property
     def m(self) -> int:
-        return self.use_first.shape[0]
+        return len(self.use_first)
 
     @property
     def n(self) -> int:
-        return self.use_first.shape[1]
+        return len(self.use_first[0])
 
     def selector(self, i: int, j: int) -> str:
         """'x' or 'y': which argument row i feeds into coordinate j (0-based)."""
-        return "x" if self.use_first[i, j] else "y"
+        return "x" if self.use_first[i][j] else "y"
 
 
 # module globals: looking a member up on the Enum class is slow in the per-box loop
@@ -104,18 +103,18 @@ def build_decomposition(jb: JacobianBounds, epsilon: float = 0.0) -> Decompositi
     """
     if epsilon < 0.0:
         raise ValueError("epsilon must be nonnegative")
-    m, n = jb.m, jb.n
-    use_first = np.zeros((m, n), dtype=bool)
-    alpha = np.zeros((m, n))
-    beta = np.zeros((m, n))
-    for i in range(m):
-        first, terms = _classified_row(i, [(iv.lo, iv.hi) for iv in jb.entries[i]], epsilon)
-        use_first[i] = first
+    use_first, alpha, beta = [], [], []
+    for i, entries in enumerate(jb.entries):
+        first, terms = _classified_row(i, [(iv.lo, iv.hi) for iv in entries], epsilon)
+        al, be = [0.0] * jb.n, [0.0] * jb.n
         for j, c in terms:
             if first[j]:
-                alpha[i, j] = c
+                al[j] = c
             else:
-                beta[i, j] = -c
+                be[j] = -c
+        use_first.append(first)
+        alpha.append(al)
+        beta.append(be)
     return DecompositionSpec(use_first, alpha, beta, float(epsilon))
 
 
@@ -144,9 +143,8 @@ def decomposition_kernel(spec: DecompositionSpec,
         raise DimensionError("decomposition shape does not match the field")
     rows = []
     for i in range(f.m):
-        coef = (spec.alpha[i] - spec.beta[i]).tolist()
-        rows.append(_row(f, i, tuple(spec.use_first[i].tolist()),
-                         [(j, c) for j, c in enumerate(coef) if c != 0.0]))
+        coef = [a - b for a, b in zip(spec.alpha[i], spec.beta[i])]
+        rows.append(_row(f, i, spec.use_first[i], [(j, c) for j, c in enumerate(coef) if c != 0.0]))
     return partial(_kernel, f.n, rows)
 
 
@@ -179,13 +177,11 @@ def _kernel(n: int, rows: list, s: list[float], both: bool) -> list[float]:
     return out
 
 
-def eval_decomposition(spec: DecompositionSpec, f: VectorField, x, y) -> np.ndarray:
+def eval_decomposition(spec: DecompositionSpec, f: VectorField, x, y) -> list[float]:
     """g(x, y) componentwise, by one call of decomposition_kernel."""
-    xa = np.asarray(x, dtype=float).reshape(-1)
-    ya = np.asarray(y, dtype=float).reshape(-1)
-    if xa.size != f.n or ya.size != f.n:
+    if len(x) != f.n or len(y) != f.n:
         raise DimensionError(f"arguments must have {f.n} entries")
-    return np.array(decomposition_kernel(spec, f)(xa.tolist() + ya.tolist(), False))
+    return decomposition_kernel(spec, f)([float(v) for v in x] + [float(v) for v in y], False)
 
 
 def bound_box(spec: DecompositionSpec, f: VectorField, box: BoxDomain) -> list[Interval]:
@@ -196,8 +192,7 @@ def bound_box(spec: DecompositionSpec, f: VectorField, box: BoxDomain) -> list[I
     """
     if box.n != f.n:
         raise DimensionError(f"arguments must have {f.n} entries")
-    g = decomposition_kernel(spec, f)(
-        box.lower_corner().tolist() + box.upper_corner().tolist(), True)
+    g = decomposition_kernel(spec, f)(box.lower_corner() + box.upper_corner(), True)
     return [Interval(a, b) for a, b in zip(g[:f.m], g[f.m:])]
 
 
@@ -239,8 +234,7 @@ def refine_bounds(f: VectorField, box: BoxDomain, depth: int, epsilon: float = 0
         raise ValueError("epsilon must be finite and nonnegative")
     if not slack >= 0.0:
         raise ValueError("slack must be nonnegative")
-    bounds = _refine(f, box.lower_corner().tolist(), box.upper_corner().tolist(), depth,
-                     epsilon, slack)
+    bounds = _refine(f, box.lower_corner(), box.upper_corner(), depth, epsilon, slack)
     return [Interval(a, b) for a, b in bounds]
 
 
@@ -261,7 +255,9 @@ def _refine(f: VectorField, lo: list[float], hi: list[float], depth: int, epsilo
         try:
             children.append(_refine(f, clo, chi, depth - 1, epsilon, slack))
         except UnboundedDerivativeError:
-            children.append(parent)  # defensive: keep the sound parent bound
+            # a child's entry can overflow to (-inf, inf) where the parent's
+            # is half-bounded: keep the sound parent bound
+            children.append(parent)
     return [iv_intersect(*iv_hull(*a, *b), *p) for a, b, p in zip(*children, parent)]
 
 
@@ -290,7 +286,7 @@ def format_decomposition(spec: DecompositionSpec, f: VectorField) -> list[str]:
 
         s = to_string(comp, var_names=name)
         for j in range(spec.n):
-            c = spec.alpha[i, j] - spec.beta[i, j]
+            c = spec.alpha[i][j] - spec.beta[i][j]
             if c != 0.0:
                 cs = _fmt_coeff(c)
                 s += f" + {cs}*x{j + 1} - {cs}*y{j + 1}"

@@ -6,13 +6,12 @@ from (box lower corner, box upper corner) then brackets every trajectory of
 the original field started inside the box, as long as the decomposition's
 enclosure stays valid along the way.
 
-Classical RK4 runs on Python lists of 2n floats, with the IEEE operations
-of the array form in the same order (0.5*h and h/6 formed first, the stage
-sum taken left to right), so each tube is bit for bit the one numpy arrays
-would give; numpy arrays are made only for the finished ReachTube.  Each
-stage makes one call of EmbeddingSystem.rhs, which returns g(x, y) and
-g(y, x) from one call of decomp.decomposition_kernel: it checks the state
-once and computes x - y and the offsets once.
+Classical RK4 runs on Python lists of 2n floats (0.5*h and h/6 formed
+first, the stage sum taken left to right), and the ReachTube holds those
+lists: its times, and one row of n floats per time for each of lower and
+upper.  Each stage makes one call of EmbeddingSystem.rhs, which returns
+g(x, y) and g(y, x) from one call of decomp.decomposition_kernel: it checks
+the state once and computes x - y and the offsets once.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
-
-import numpy as np
 
 from .errors import BlowupError, DimensionError, EvalError
 from .decomp import DecompositionSpec, decomposition_kernel
@@ -68,18 +65,18 @@ def build_embedding(f: VectorField, spec: DecompositionSpec) -> EmbeddingSystem:
 class ReachTube:
     """Componentwise bounds lower(t) <= x(t) <= upper(t) on a shared time grid."""
 
-    times: np.ndarray   # (N,), starts at 0, strictly increasing
-    lower: np.ndarray   # (N, n)
-    upper: np.ndarray   # (N, n)
+    times: list[float]          # N times, starting at 0, strictly increasing
+    lower: list[list[float]]    # N rows of n floats
+    upper: list[list[float]]    # N rows of n floats
     step: float
     method: str = "rk4"
 
     @property
     def n(self) -> int:
-        return self.lower.shape[1]
+        return len(self.lower[0])
 
-    def final(self) -> tuple[float, np.ndarray, np.ndarray]:
-        return float(self.times[-1]), self.lower[-1], self.upper[-1]
+    def final(self) -> tuple[float, list[float], list[float]]:
+        return self.times[-1], self.lower[-1], self.upper[-1]
 
 
 def _rk4_step(rhs, state: list[float], h: float) -> list[float]:
@@ -158,27 +155,24 @@ def integrate_embedding(system: EmbeddingSystem, x_lo: Sequence[float],
     magnitude_cap.
     """
     n = system.n
-    lo = np.asarray(x_lo, dtype=float).reshape(-1)
-    hi = np.asarray(x_hi, dtype=float).reshape(-1)
-    if lo.size != n or hi.size != n:
+    lo, hi = [float(v) for v in x_lo], [float(v) for v in x_hi]
+    if len(lo) != n or len(hi) != n:
         raise DimensionError(f"initial corners must have {n} entries")
     if not leq_orthant(lo, hi):
         raise ValueError("initial box needs x_lo <= x_hi componentwise")
-    times, states = _integrate(system.rhs, lo.tolist() + hi.tolist(), t_end, step, magnitude_cap)
-    states = np.array(states)
-    return ReachTube(np.array(times), states[:, :n], states[:, n:], float(step))
+    times, states = _integrate(system.rhs, lo + hi, t_end, step, magnitude_cap)
+    return ReachTube(times, [s[:n] for s in states], [s[n:] for s in states], float(step))
 
 
 def sample_flow(f: VectorField, x0: Sequence[float], t_end: float,
                 step: float = DEFAULT_STEP,
-                magnitude_cap: float = DEFAULT_CAP) -> np.ndarray:
+                magnitude_cap: float = DEFAULT_CAP) -> list[float]:
     """Final state of the plain field from x0, using the same RK4 stepping."""
     if f.m != f.n:
         raise DimensionError(f"flows need a square field, got m={f.m}, n={f.n}")
-    x = np.asarray(x0, dtype=float).reshape(-1)
-    if x.size != f.n:
+    x = [float(v) for v in x0]
+    if len(x) != f.n:
         raise DimensionError(f"initial state must have {f.n} entries")
     compiled = f.compiled
-    _, states = _integrate(lambda s: [fn(s) for fn in compiled], x.tolist(), t_end, step,
-                           magnitude_cap)
-    return np.array(states[-1])
+    _, states = _integrate(lambda s: [fn(s) for fn in compiled], x, t_end, step, magnitude_cap)
+    return states[-1]

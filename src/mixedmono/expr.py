@@ -13,11 +13,13 @@ Numbers are unsigned decimal literals with an optional exponent part; "pi" is
 a reserved constant.  Offsets reported by ParseError index into the source
 text.
 
-Two extra unary names, "sign" and "step", are accepted on input although they
-are not part of the public grammar: derivative trees use them to encode the
-kink conventions of abs/min/max (d|u| = sign(u) u' with sign(0) = 0;
-d min(u,v)/du = step(v-u) with step(0) = 1/2), and accepting them keeps
-parse(to_string(e)) total on everything differentiate produces.
+Three extra unary names, "sign", "step" and "jump", are accepted on input
+although they are not part of the public grammar: derivative trees use them
+to encode the kink conventions of abs/min/max (d|u| = sign(u) u' with
+sign(0) = 0; d min(u,v)/du = step(v-u) with step(0) = 1/2) and the jumps of
+sign and step (d step(u) = d sign(u) = jump(u) u'), and accepting them keeps
+parse(to_string(e)) total on everything differentiate produces.  jump(u) is
+0 at every point; its range over a box is [0, inf) where u can vanish.
 """
 
 from __future__ import annotations
@@ -28,19 +30,17 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
-import numpy as np
-
 from .errors import DimensionError, EvalError, ParseError
-from .interval import (BoxDomain, Interval, iv_abs, iv_add, iv_cos, iv_div, iv_exp, iv_max,
-                       iv_min, iv_mul, iv_neg, iv_power, iv_sign, iv_sin, iv_step, iv_sub,
-                       iv_widen)
+from .interval import (BoxDomain, Interval, iv_abs, iv_add, iv_cos, iv_div, iv_exp, iv_jump,
+                       iv_max, iv_min, iv_mul, iv_neg, iv_power, iv_sign, iv_sin, iv_step,
+                       iv_sub, iv_widen)
 
 # Slack for callers that want enclosures guaranteed outward of the exact
 # range despite rounding; eval_interval itself defaults to no widening so
 # that tight ranges (even powers, sine extrema) come out exact.
 DEFAULT_SLACK = 1e-12
 
-_UNARY_FUNCS = ("sin", "cos", "exp", "abs", "sign", "step")
+_UNARY_FUNCS = ("sin", "cos", "exp", "abs", "sign", "step", "jump")
 _BINARY_FUNCS = ("min", "max")
 
 
@@ -66,7 +66,7 @@ class Var:
 
 @dataclass(frozen=True)
 class Unary:
-    op: str  # neg | sin | cos | exp | abs | sign | step
+    op: str  # neg | sin | cos | exp | abs | sign | step | jump
     arg: "Expr"
 
 
@@ -336,7 +336,7 @@ def evaluate(e: Expr, point: Sequence[float]) -> float:
     Compiles e on every call; code that evaluates one tree many times keeps
     the closure of compile_expr instead.
     """
-    return compile_expr(e)(np.asarray(point, dtype=float).reshape(-1).tolist())
+    return compile_expr(e)([float(v) for v in point])
 
 
 def compile_expr(e: Expr) -> Callable[[Sequence[float]], float]:
@@ -385,8 +385,8 @@ def lower_factory(e: Expr) -> Callable[[Sequence[int]], Callable[[Sequence[float
     so the first failing node raises.  Each variable is read from p once,
     where evaluation first reaches it, and a point too short for it raises
     DimensionError there.  div, power, exp, sin and cos call helpers that
-    raise EvalError, sign and step call helpers too, and + - * neg abs min
-    max are inlined.  The source holds only node kinds, integers and the
+    raise EvalError, sign, step and jump call helpers too, and + - * neg abs
+    min max are inlined.  The source holds only node kinds, integers and the
     repr of finite floats.
     """
     lines: list[str] = []
@@ -408,7 +408,8 @@ def lower_factory(e: Expr) -> Callable[[Sequence[int]], Callable[[Sequence[float
 
 # the source of a node from the source of its operands
 _UNARY_TEXT = {"neg": "-{}", "abs": "abs({})", "sin": "_sin({})", "cos": "_cos({})",
-               "exp": "_exp({})", "sign": "_sign({})", "step": "_step({})"}
+               "exp": "_exp({})", "sign": "_sign({})", "step": "_step({})",
+               "jump": "_jump({})"}
 _BINARY_TEXT = {"add": "{} + {}", "sub": "{} - {}", "mul": "{} * {}", "div": "_div({}, {})",
                 "min": "min({}, {})", "max": "max({}, {})"}
 
@@ -491,8 +492,12 @@ def _step(u: float) -> float:
     return 1.0 if u > 0.0 else (0.5 if u == 0.0 else 0.0)
 
 
+def _jump(u: float) -> float:
+    return 0.0
+
+
 _HELPERS = {"_short": _short, "_div": _div, "_pow": _pow, "_exp": _exp, "_sin": _sin,
-            "_cos": _cos, "_sign": _sign, "_step": _step}
+            "_cos": _cos, "_sign": _sign, "_step": _step, "_jump": _jump}
 
 
 # -- differentiation -------------------------------------------------------------
@@ -546,7 +551,11 @@ def differentiate(e: Expr, j: int) -> Expr:
 
     Kink conventions make the result total: d|u| = sign(u) u' with
     sign(0) = 0, and d min(u,v)/du = step(v-u) with step(0) = 1/2 (max is
-    symmetric).  sign and step themselves differentiate to 0.
+    symmetric).  The jumps of sign and step are kept for enclosures:
+    d sign(u) = d step(u) = jump(u) u', 0 at every point but [0, inf) over
+    a box where u can vanish, since a nondecreasing jump has a nonnegative
+    derivative of unknown size.  That of jump itself has no sign, so
+    d jump(u) = (jump(u) - jump(u)) u', enclosed by the whole line there.
     """
     if j < 1:
         raise DimensionError(f"variable index {j} outside 1..n")
@@ -570,7 +579,9 @@ def differentiate(e: Expr, j: int) -> Expr:
         if e.op == "abs":
             return _mul(Unary("sign", e.arg), du)
         if e.op in ("sign", "step"):
-            return _ZERO  # piecewise-constant convention
+            return _mul(Unary("jump", e.arg), du)
+        if e.op == "jump":
+            return _mul(Binary("sub", Unary("jump", e.arg), Unary("jump", e.arg)), du)
     if isinstance(e, Binary):
         if e.op in ("add", "sub"):
             da = differentiate(e.left, j)
@@ -612,8 +623,7 @@ def eval_interval(e: Expr, box: BoxDomain, slack: float = 0.0) -> Interval:
     if slack < 0.0:
         raise ValueError("slack must be nonnegative")
     run = lower_interval(e)
-    return Interval(*iv_widen(*run(box.lower_corner().tolist(), box.upper_corner().tolist()),
-                              slack))
+    return Interval(*iv_widen(*run(box.lower_corner(), box.upper_corner()), slack))
 
 
 def lower_interval(e: Expr) -> Callable[[Sequence[float], Sequence[float]], tuple[float, float]]:
@@ -763,6 +773,6 @@ def _power_rule(n: int):
 
 
 _INTERVAL_UNARY = {"neg": iv_neg, "sin": iv_sin, "cos": iv_cos, "exp": iv_exp, "abs": iv_abs,
-                   "sign": iv_sign, "step": iv_step}
+                   "sign": iv_sign, "step": iv_step, "jump": iv_jump}
 _INTERVAL_BINARY = {"add": iv_add, "sub": iv_sub, "mul": iv_mul, "div": iv_div, "min": iv_min,
                     "max": iv_max}

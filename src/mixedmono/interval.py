@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import DegenerateAxisError, DimensionError
 
 _INF = math.inf
@@ -181,6 +179,12 @@ def iv_step(lo: float, hi: float) -> tuple[float, float]:
     return _step(lo), _step(hi)
 
 
+def iv_jump(lo: float, hi: float) -> tuple[float, float]:
+    """Image of the derivative of a unit jump at 0: a nonnegative mass, of
+    unknown size, where the range holds 0, and nothing elsewhere."""
+    return (0.0, _INF) if lo <= 0.0 <= hi else (0.0, 0.0)
+
+
 def iv_widen(lo: float, hi: float, delta: float) -> tuple[float, float]:
     if delta == 0.0:
         return lo, hi
@@ -295,11 +299,9 @@ def intersect(a: Interval, b: Interval) -> Interval:
 
 def leq_orthant(p: Sequence[float], q: Sequence[float]) -> bool:
     """Componentwise p <= q (the positive-orthant partial order)."""
-    pa = np.asarray(p, dtype=float)
-    qa = np.asarray(q, dtype=float)
-    if pa.shape != qa.shape or pa.ndim != 1:
-        raise DimensionError(f"cannot order shapes {pa.shape} and {qa.shape}")
-    return bool(np.all(pa <= qa))
+    if len(p) != len(q):
+        raise DimensionError(f"cannot order {len(p)} entries against {len(q)}")
+    return all(a <= b for a, b in zip(p, q))
 
 
 @dataclass(frozen=True)
@@ -328,24 +330,24 @@ class BoxDomain:
     def __getitem__(self, k: int) -> Interval:
         return self.intervals[k]
 
-    def lower_corner(self) -> np.ndarray:
-        return np.array([iv.lo for iv in self.intervals])
+    def lower_corner(self) -> list[float]:
+        return [iv.lo for iv in self.intervals]
 
-    def upper_corner(self) -> np.ndarray:
-        return np.array([iv.hi for iv in self.intervals])
+    def upper_corner(self) -> list[float]:
+        return [iv.hi for iv in self.intervals]
 
     def contains(self, point: Sequence[float], slack: float = 0.0) -> bool:
-        p = np.asarray(point, dtype=float)
-        if p.shape != (self.n,):
-            raise DimensionError(f"point of shape {p.shape} in a {self.n}-dimensional box")
-        return all(iv.contains(v, slack) for iv, v in zip(self.intervals, p))
+        if len(point) != self.n:
+            raise DimensionError(f"point of {len(point)} entries in a {self.n}-dimensional box")
+        return all(iv.contains(v, slack) for iv, v in zip(self.intervals, point))
 
-    def widths(self) -> np.ndarray:
-        return np.array([iv.width for iv in self.intervals])
+    def widths(self) -> list[float]:
+        return [iv.width for iv in self.intervals]
 
     def widest_axis(self) -> int:
         """1-based index of the widest axis; ties go to the lowest index."""
-        return int(np.argmax(self.widths())) + 1
+        widths = self.widths()
+        return widths.index(max(widths)) + 1
 
     def split(self, axis: int) -> tuple["BoxDomain", "BoxDomain"]:
         """Halve the box at the midpoint of the given axis (1-based)."""

@@ -8,8 +8,6 @@ from enum import Enum
 from functools import cached_property
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import DimensionError, InvalidBoundsError
 from .expr import (Expr, checked, differentiate, lower_factory, lower_intervals, parse,
                    variables)
@@ -106,9 +104,9 @@ class VectorField:
     def _lowered(self) -> dict:
         return {}
 
-    def evaluate(self, point: Sequence[float]) -> np.ndarray:
-        p = np.asarray(point, dtype=float).reshape(-1).tolist()
-        return np.array([fn(p) for fn in self.compiled])
+    def evaluate(self, point: Sequence[float]) -> list[float]:
+        p = [float(v) for v in point]
+        return [fn(p) for fn in self.compiled]
 
 
 class SignCase(Enum):
@@ -185,5 +183,5 @@ def jacobian_bounds(f: VectorField, box: BoxDomain, slack: float = 1e-9) -> Jaco
     """
     if box.n != f.n:
         raise DimensionError(f"box has {box.n} axes but the field has n={f.n}")
-    ranges = f.jacobian_ranges(box.lower_corner().tolist(), box.upper_corner().tolist(), slack)
+    ranges = f.jacobian_ranges(box.lower_corner(), box.upper_corner(), slack)
     return JacobianBounds(tuple(tuple(Interval(a, b) for a, b in row) for row in ranges))

@@ -20,9 +20,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, NamedTuple, Optional
-
-import numpy as np
 
 from .errors import DimensionError, EvalError, NonConvergenceError
 from .expr import Expr, compile_expr, differentiate, is_smooth, parse, variables
@@ -40,6 +39,19 @@ def quad(func, a, b, **kwargs):
     run fails with AttributeError without it.  It goes with that layer."""
     from scipy.integrate import quad as scipy_quad
     return scipy_quad(func, a, b, **kwargs)
+
+
+def linspace(a: float, b: float, cells: int) -> list[float]:
+    """The cells + 1 evenly spaced points from a to b, bit for bit those of
+    numpy.linspace(a, b, cells + 1): k*step + a with the last set to b, and
+    (k/cells)*(b - a) + a where step underflows to 0."""
+    step = (b - a) / cells
+    if step == 0.0:
+        xs = [(k / cells) * (b - a) + a for k in range(cells + 1)]
+    else:
+        xs = [k * step + a for k in range(cells + 1)]
+    xs[-1] = b
+    return xs
 
 
 def _bisect_sign_change(deriv: Callable[[float], float], a: float, b: float,
@@ -121,7 +133,7 @@ def _check_sub(f: ScalarFunction, sub: Interval):
             f"[{sub.lo}, {sub.hi}] is outside the domain [{f.domain.lo}, {f.domain.hi}]")
 
 
-def _interior_extrema(f: ScalarFunction, xs: np.ndarray, vals: np.ndarray) -> list[float]:
+def _interior_extrema(f: ScalarFunction, xs: list[float], vals: list[float]) -> list[float]:
     """Extremum locations detected from discrete slope sign changes, bisected on f'.
 
     Plain dyadic sums lose 2*slope*dist(extremum, grid) per extremum, and that
@@ -133,7 +145,7 @@ def _interior_extrema(f: ScalarFunction, xs: np.ndarray, vals: np.ndarray) -> li
     cell changes no slope sign, so those two cells are also bracketed by the
     signs of f' at their ends.
     """
-    signs = np.sign(np.diff(vals))
+    signs = [(v > u) - (v < u) for u, v in zip(vals, vals[1:])]
     found = []
 
     def bracket(lo: float, hi: float, fallback: Optional[float]):
@@ -148,9 +160,9 @@ def _interior_extrema(f: ScalarFunction, xs: np.ndarray, vals: np.ndarray) -> li
 
     for k in range(len(signs) - 1):
         if signs[k] != signs[k + 1]:
-            bracket(float(xs[k]), float(xs[k + 2]), float(xs[k + 1]))
-    bracket(float(xs[0]), float(xs[1]), None)
-    bracket(float(xs[-2]), float(xs[-1]), None)
+            bracket(xs[k], xs[k + 2], xs[k + 1])
+    bracket(xs[0], xs[1], None)
+    bracket(xs[-2], xs[-1], None)
     return found
 
 
@@ -174,7 +186,7 @@ def _variation_floor(f: ScalarFunction, a: float, b: float) -> float:
     """Partition sum of f over a, b and the zeros and bisected sign changes of
     f' on _SCAN_CELLS cells: a lower bound on the variation, as every
     partition sum is, that already resolves every extremum the scan sees."""
-    grid = np.linspace(a, b, _SCAN_CELLS + 1).tolist()
+    grid = linspace(a, b, _SCAN_CELLS)
     d = [f.derivative(t) for t in grid]
     pts = [a]
     for k in range(_SCAN_CELLS):
@@ -201,23 +213,21 @@ def _partition(f: ScalarFunction, a: float, b: float, tol: float, max_cells: int
     prev = None
     small_diffs = 0
     while cells <= max_cells:
-        xs = np.linspace(a, b, cells + 1)
-        vals = np.array([f(x) for x in xs])
+        xs = linspace(a, b, cells)
+        vals = [f(x) for x in xs]
         extra = _interior_extrema(f, xs, vals)
         if extra:
-            xs = np.concatenate([xs, extra])
-            order = np.argsort(xs, kind="stable")
-            xs = xs[order]
-            vals = np.concatenate([vals, [f(x) for x in extra]])[order]
-        cum = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(vals)))])
-        tv = float(cum[-1])
+            # sorted stably by node: an extremum equal to a grid point stays after it
+            pairs = sorted(zip(xs + extra, vals + [f(x) for x in extra]), key=lambda p: p[0])
+            xs, vals = [x for x, _ in pairs], [v for _, v in pairs]
+        cum = list(accumulate((abs(v - u) for u, v in zip(vals, vals[1:])), initial=0.0))
+        tv = cum[-1]
         if prev is not None:
             # one small difference can be a stall (a missed extremum keeps its
             # grid distance across a doubling), so demand two in a row
             small_diffs = small_diffs + 1 if abs(tv - prev) < tol else 0
             if small_diffs >= 2 and tv >= floor:
-                part = f._partition_cache[key] = _Partition(xs.tolist(), vals.tolist(),
-                                                            cum.tolist())
+                part = f._partition_cache[key] = _Partition(xs, vals, cum)
                 return part
         prev = tv
         cells *= 2

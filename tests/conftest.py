@@ -45,7 +45,7 @@ def rng():
 
 
 def box_samples(box: BoxDomain, rng, count: int) -> np.ndarray:
-    lo, hi = box.lower_corner(), box.upper_corner()
+    lo, hi = np.asarray(box.lower_corner()), np.asarray(box.upper_corner())
     return lo + (hi - lo) * rng.random((count, box.n))
 
 

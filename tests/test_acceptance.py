@@ -80,7 +80,7 @@ def test_3_decomposition_axioms_on_corpus(capfd):
     for entry in make_corpus():
         spec = _decompose(entry.field, entry.box)
         pts = box_samples(entry.box, rng, 1000)
-        worst = max(np.max(np.abs(eval_decomposition(spec, entry.field, p, p)
+        worst = max(np.max(np.abs(np.asarray(eval_decomposition(spec, entry.field, p, p))
                                   - entry.field.evaluate(p))) for p in pts)
         if worst > 1e-9:
             failures.append(f"{entry.name}: diagonal gap {worst:.3g} > 1e-9")
@@ -88,11 +88,11 @@ def test_3_decomposition_axioms_on_corpus(capfd):
         other = box_samples(entry.box, rng, 1000)
         bad_x = bad_y = 0.0
         for k in range(1000):
-            g_lo = eval_decomposition(spec, entry.field, p[k], other[k])
-            g_hi = eval_decomposition(spec, entry.field, q[k], other[k])
+            g_lo = np.asarray(eval_decomposition(spec, entry.field, p[k], other[k]))
+            g_hi = np.asarray(eval_decomposition(spec, entry.field, q[k], other[k]))
             bad_x = max(bad_x, float(np.max(g_lo - g_hi)))
-            g_big = eval_decomposition(spec, entry.field, other[k], p[k])
-            g_sml = eval_decomposition(spec, entry.field, other[k], q[k])
+            g_big = np.asarray(eval_decomposition(spec, entry.field, other[k], p[k]))
+            g_sml = np.asarray(eval_decomposition(spec, entry.field, other[k], q[k]))
             bad_y = max(bad_y, float(np.max(g_sml - g_big)))
         if bad_x > slack:
             failures.append(f"{entry.name}: first-argument growth violated by {bad_x:.3g}")
@@ -189,9 +189,9 @@ def test_6_reach_tube_linear_decay(capfd):
 
     rng = np.random.default_rng(20240817)
     starts = rng.uniform(0.0, 1.0, 100)
-    flows = np.outer(np.exp(-tube.times), starts)  # closed form x0 * e^{-t}
-    low = tube.lower[:, 0][:, None] - 1e-6
-    high = tube.upper[:, 0][:, None] + 1e-6
+    flows = np.outer(np.exp(-np.asarray(tube.times)), starts)  # closed form x0 * e^{-t}
+    low = np.asarray(tube.lower)[:, 0][:, None] - 1e-6
+    high = np.asarray(tube.upper)[:, 0][:, None] + 1e-6
     if not np.all((flows >= low) & (flows <= high)):
         failures.append("a sampled trajectory leaves the tube")
     _verdict(capfd, 6, "dx/dt = -x from [0,1]: edges (-sinh 1, cosh 1) @1e-6 at step "

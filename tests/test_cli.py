@@ -1,6 +1,9 @@
 """Command-line interface: configs, subcommands, output schemas, exit codes."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +53,10 @@ def cfg_file(tmp_path):
         path.write_text(text)
         return str(path)
     return write
+
+
+def _scalar(expr, box="[-1, 1]"):
+    return f'[system]\ndim = 1\nf1 = "{expr}"\n\n[domain]\nx1 = {box}\n'
 
 
 def _run(capsys, argv):
@@ -152,6 +159,21 @@ def test_bound_grid_check(capsys, cfg_file):
     assert lines[0] == "f1 ∈ [-3, 5]"
     assert lines[1].startswith("check f1: grid range [")
     assert lines[1].endswith("enclosed=yes")
+
+
+def test_bound_grid_check_keeps_the_last_of_equal_zero_extremes(capsys, cfg_file):
+    # the grid holds -0.0 (x1 < 0, x2 = 0) and 0.0 (x1 = 0); the last wins
+    text = '[system]\ndim = 2\nf1 = "x1*x2"\n\n[domain]\nx1 = [-1, 0]\nx2 = [0, 1]\n'
+    rc, out, _ = _run(capsys, ["bound", cfg_file(text), "--check"])
+    assert rc == 0
+    assert out.splitlines()[1] == "check f1: grid range [-1, 0] enclosed=yes"
+
+
+def test_bound_falls_back_to_the_parent_where_a_child_is_unbounded(capsys, cfg_file):
+    # d(1/x1) = -1/x1^2 is half-bounded on [1, 1e201], but x1^2 overflows to
+    # [inf, inf] on the upper half, whose entry is then the whole line
+    rc, out, err = _run(capsys, ["bound", cfg_file(_scalar("1/x1", "[1, 1e201]")), "--depth", "1"])
+    assert (rc, out, err) == (0, "f1 ∈ [-1e+192, 1e+192]\n", "")
 
 
 def test_bound_and_decompose_with_no_slack_on_a_linear_component(capsys, cfg_file):
@@ -334,6 +356,39 @@ x2 = [-1, 1]
     assert rc == 2 and "f1/x1" in err
     rc, _, err = _run(capsys, ["bound", cfg_file(text)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("expr", ["step(x1) - step(x1-0.5)", "sign(x1)*sign(x1-0.5)"])
+@pytest.mark.parametrize("depth", ["0", "3"])
+def test_exit_code_for_jumps_of_both_signs(capsys, cfg_file, expr, depth):
+    # the derivative holds a rising and a falling jump, so no sign is known
+    rc, out, err = _run(capsys, ["bound", cfg_file(_scalar(expr)), "--depth", depth])
+    assert (rc, out, err) == (2, "", "error: derivative enclosure for f1/x1 is (-inf, inf)\n")
+
+
+@pytest.mark.parametrize("expr, bracket", [("step(-x1)", "[-2e-09, 1]"),
+                                           ("-sign(x1)", "[-1, 1]")])
+def test_bound_of_a_falling_jump(capsys, cfg_file, expr, bracket):
+    rc, out, err = _run(capsys, ["bound", cfg_file(_scalar(expr)), "--check"])
+    assert rc == 0 and err == ""
+    assert out.splitlines()[0] == f"f1 ∈ {bracket}"
+    assert out.splitlines()[1].endswith("enclosed=yes")
+
+
+def test_exit_code_for_a_closed_stdout():
+    # the reader takes one line and closes the pipe: no traceback, exit 1
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); "
+         "from mixedmono.cli import main; sys.exit(main())",
+         "tv", "--expr", "sin(x1)", "--a", "0", "--b", "6.28", "--grid", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert first.startswith(b"TV = ") and err == b""
 
 
 def test_exit_code_for_blowup(capsys, cfg_file):

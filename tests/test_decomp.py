@@ -22,7 +22,7 @@ def test_square_construction():
     box = BoxDomain.from_bounds([(-1, 1)])
     spec = _spec_for(f, box, slack=0.0)
     assert spec.selector(0, 0) == "x"
-    assert spec.alpha[0, 0] == 2.0 and spec.beta[0, 0] == 0.0
+    assert spec.alpha[0][0] == 2.0 and spec.beta[0][0] == 0.0
     assert format_decomposition(spec, f) == ["g1 = x1^2 + 2*x1 - 2*y1"]
     assert eval_decomposition(spec, f, [0.5], [0.5])[0] == pytest.approx(0.25)
     assert eval_decomposition(spec, f, [1.0], [-1.0])[0] == pytest.approx(5.0)
@@ -35,7 +35,7 @@ def test_negation_construction():
     box = BoxDomain.from_bounds([(0, 1)])
     spec = _spec_for(f, box)
     assert spec.selector(0, 0) == "y"
-    assert spec.alpha[0, 0] == 0.0 and spec.beta[0, 0] == 0.0
+    assert spec.alpha[0][0] == 0.0 and spec.beta[0][0] == 0.0
     assert format_decomposition(spec, f) == ["g1 = -y1"]
     assert bound_box(spec, f, box) == [Interval(-1.0, 0.0)]
 
@@ -45,7 +45,7 @@ def test_linear_2d_construction():
     box = BoxDomain.from_bounds([(0, 1), (0, 1)])
     spec = _spec_for(f, box)
     assert format_decomposition(spec, f) == ["g1 = -y1 + x2", "g2 = x1 - y2"]
-    assert np.all(spec.alpha == 0.0) and np.all(spec.beta == 0.0)
+    assert np.all(np.asarray(spec.alpha) == 0.0) and np.all(np.asarray(spec.beta) == 0.0)
     lo, hi = bound_box(spec, f, box)
     assert lo == Interval(-1.0, 1.0) and hi == Interval(-1.0, 1.0)
 
@@ -91,11 +91,11 @@ def test_axioms_on_corpus(corpus, rng):
         x_lo, x_hi = ordered_pairs(box, rng, 200)
         y = box_samples(box, rng, 200)
         for k in range(200):
-            g_lo = eval_decomposition(spec, f, x_lo[k], y[k])
-            g_hi = eval_decomposition(spec, f, x_hi[k], y[k])
+            g_lo = np.asarray(eval_decomposition(spec, f, x_lo[k], y[k]))
+            g_hi = np.asarray(eval_decomposition(spec, f, x_hi[k], y[k]))
             assert np.all(g_lo <= g_hi + 1e-9), entry.name  # nondecreasing in x
-            h_lo = eval_decomposition(spec, f, y[k], x_lo[k])
-            h_hi = eval_decomposition(spec, f, y[k], x_hi[k])
+            h_lo = np.asarray(eval_decomposition(spec, f, y[k], x_lo[k]))
+            h_hi = np.asarray(eval_decomposition(spec, f, y[k], x_hi[k]))
             assert np.all(h_hi <= h_lo + 1e-9), entry.name  # nonincreasing in y
 
 
@@ -104,7 +104,8 @@ def test_case_stable_entries_have_zero_offsets(corpus):
         if not entry.sign_stable:
             continue
         spec = _spec_for(entry.field, entry.box)
-        assert np.all(spec.alpha == 0.0) and np.all(spec.beta == 0.0), entry.name
+        assert np.all(np.asarray(spec.alpha) == 0.0) and np.all(np.asarray(spec.beta) == 0.0), \
+            entry.name
 
 
 # -- bounds ------------------------------------------------------------------------

@@ -80,8 +80,8 @@ def test_tube_for_linear_decay_matches_closed_form():
     # interior rows follow the same closed form
     for k in range(0, len(tube.times), 100):
         tk = tube.times[k]
-        assert tube.lower[k, 0] == pytest.approx(-math.sinh(tk), abs=1e-6)
-        assert tube.upper[k, 0] == pytest.approx(math.cosh(tk), abs=1e-6)
+        assert tube.lower[k][0] == pytest.approx(-math.sinh(tk), abs=1e-6)
+        assert tube.upper[k][0] == pytest.approx(math.cosh(tk), abs=1e-6)
 
 
 def test_degenerate_box_follows_the_plain_flow():
@@ -111,7 +111,7 @@ def test_tube_time_grid_divisible():
     _, _, sys = _embedding(["-x1"], [(0.0, 1.0)])
     tube = integrate_embedding(sys, [0.0], [1.0], 1.0, step=0.25)
     assert tube.times == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
-    assert tube.lower.shape == (5, 1) and tube.upper.shape == (5, 1)
+    assert np.shape(tube.lower) == (5, 1) and np.shape(tube.upper) == (5, 1)
     assert tube.step == 0.25 and tube.method == "rk4"
 
 
@@ -125,7 +125,7 @@ def test_tube_zero_horizon_is_initial_row():
     _, _, sys = _embedding(["-x1"], [(0.0, 1.0)])
     tube = integrate_embedding(sys, [0.0], [1.0], 0.0)
     assert tube.times == pytest.approx([0.0])
-    assert tube.lower[0, 0] == 0.0 and tube.upper[0, 0] == 1.0
+    assert tube.lower[0][0] == 0.0 and tube.upper[0][0] == 1.0
 
 
 def test_tube_input_validation():
@@ -150,7 +150,7 @@ def test_tube_rows_stay_ordered(corpus):
         sys = build_embedding(entry.field, spec)
         tube = integrate_embedding(sys, entry.box.lower_corner(),
                                    entry.box.upper_corner(), 0.25, step=1e-2)
-        assert np.all(tube.lower <= tube.upper + 1e-9)
+        assert np.all(np.asarray(tube.lower) <= np.asarray(tube.upper) + 1e-9)
         assert np.all(np.diff(tube.times) > 0.0)
 
 
@@ -158,17 +158,17 @@ def test_wider_initial_box_gives_wider_tube():
     _, _, sys = _embedding(["-x1 + x2", "x1 - x2"], [(0.0, 1.0), (0.0, 1.0)])
     inner = integrate_embedding(sys, [0.2, 0.3], [0.7, 0.8], 1.0, step=1e-2)
     outer = integrate_embedding(sys, [0.0, 0.0], [1.0, 1.0], 1.0, step=1e-2)
-    assert np.all(outer.lower <= inner.lower + 1e-9)
-    assert np.all(inner.upper <= outer.upper + 1e-9)
+    assert np.all(np.asarray(outer.lower) <= np.asarray(inner.lower) + 1e-9)
+    assert np.all(np.asarray(inner.upper) <= np.asarray(outer.upper) + 1e-9)
 
 
 def test_tube_contains_sampled_trajectories(rng):
     f, _, sys = _embedding(["-x1"], [(0.0, 1.0)])
     tube = integrate_embedding(sys, [0.0], [1.0], 1.0, step=0.05)
     for x0 in rng.uniform(0.0, 1.0, size=20):
-        traj = x0 * np.exp(-tube.times)
-        assert np.all(tube.lower[:, 0] - 1e-6 <= traj)
-        assert np.all(traj <= tube.upper[:, 0] + 1e-6)
+        traj = x0 * np.exp(-np.asarray(tube.times))
+        assert np.all(np.asarray(tube.lower)[:, 0] - 1e-6 <= traj)
+        assert np.all(traj <= np.asarray(tube.upper)[:, 0] + 1e-6)
 
 
 def test_tube_contains_matrix_exponential_box():
@@ -183,7 +183,7 @@ def test_tube_contains_matrix_exponential_box():
     for k in range(0, len(tube.times), 200):
         ekA = expm(A * tube.times[k])
         assert np.all(tube.lower[k] <= ekA @ lo0 + 1e-9)
-        assert np.all(ekA @ hi0 <= tube.upper[k] + 1e-9)
+        assert np.all(ekA @ hi0 <= np.asarray(tube.upper[k]) + 1e-9)
     _, lo, hi = tube.final()
     assert hi[0] > (expm(A) @ hi0)[0] + 0.1
 
@@ -196,8 +196,19 @@ def test_tube_contains_flow_samples_for_coupled_field(rng):
         x0 = rng.uniform(0.0, 1.0, size=2)
         for k, t in enumerate(tube.times):
             xt = expm(A * t) @ x0
-            assert np.all(tube.lower[k] - 1e-6 <= xt)
-            assert np.all(xt <= tube.upper[k] + 1e-6)
+            assert np.all(np.asarray(tube.lower[k]) - 1e-6 <= xt)
+            assert np.all(xt <= np.asarray(tube.upper[k]) + 1e-6)
+
+
+def test_tube_contains_the_flow_across_a_jump():
+    # x2 falls only once x1 passes 0, where step(x1) jumps; the trajectory
+    # from (-1, 1) keeps x2 near 1 up to t = 1
+    f, _, sys = _embedding(["x2", "-step(x1)"], [(-1.0, 1.0), (-1.0, 1.0)])
+    tube = integrate_embedding(sys, [-1.0, -1.0], [1.0, 1.0], 1.0, step=0.01)
+    _, lo, hi = tube.final()
+    xt = sample_flow(f, [-1.0, 1.0], 1.0, step=0.01)
+    assert xt[1] > 0.99
+    assert all(a <= x <= b for a, x, b in zip(lo, xt, hi))
 
 
 # -- divergence ------------------------------------------------------------------

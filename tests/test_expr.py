@@ -155,6 +155,25 @@ def test_derivative_roundtrips_through_parser():
     assert parse(to_string(d), 2) == d
 
 
+def test_jump_derivatives_of_sign_and_step():
+    # d step(u) = d sign(u) = jump(u)*u': 0 at every point, [0, inf) over a
+    # box where u can vanish; d jump(u) is enclosed by the whole line there
+    crossing, clear = BoxDomain.from_bounds([(-1, 1)]), BoxDomain.from_bounds([(1, 2)])
+    for text in ("step(x1)", "sign(x1)"):
+        d = differentiate(parse(text, 1), 1)
+        assert d == Unary("jump", Var(1))
+        assert evaluate(d, [0.0]) == 0.0 and evaluate(d, [0.5]) == 0.0
+        assert eval_interval(d, crossing) == Interval(0.0, math.inf)
+        assert eval_interval(d, clear) == Interval(0.0, 0.0)
+    down = differentiate(parse("step(-x1)", 1), 1)
+    assert eval_interval(down, crossing) == Interval(-math.inf, 0.0)
+    dd = differentiate(differentiate(parse("step(x1^2 - 1)", 1), 1), 1)
+    assert parse(to_string(dd), 1) == dd
+    assert evaluate(dd, [1.0]) == 0.0
+    assert eval_interval(dd, crossing) == Interval(-math.inf, math.inf)
+    assert eval_interval(dd, BoxDomain.from_bounds([(2, 3)])) == Interval(0.0, 0.0)
+
+
 def _random_smooth(rng, n, depth):
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.6 and n > 0:

@@ -12,6 +12,7 @@ import mixedmono
 from mixedmono import (DimensionError, Interval, NonConvergenceError, ScalarFunction,
                        bv_decomposition_eval, jordan_split, total_variation,
                        unbounded_decomposition, unbounded_split)
+from mixedmono.jordan import linspace
 
 TWO_PI = 2.0 * math.pi
 
@@ -135,14 +136,36 @@ def test_variation_of_a_narrow_smooth_bump():
 
 
 def test_smooth_variation_imports_no_scipy():
-    src = str(Path(mixedmono.__file__).resolve().parents[1])
-    code = (f"import sys\nsys.path.insert(0, {src!r})\n"
+    # every subcommand on every config, in a fresh interpreter, loads
+    # neither numpy nor scipy
+    src = Path(mixedmono.__file__).resolve().parents[1]
+    configs = sorted(str(p) for p in (src.parent / "configs").glob("*.ini"))
+    assert configs
+    argvs = [["tv", "--expr", "x1*sin(x1)", "--a", "-3", "--b", "4"]]
+    for path in configs:
+        argvs += [["decompose", path], ["bound", path, "--depth", "3", "--check"],
+                  ["bound", path, "--format", "csv", "--check"], ["reach", path], ["tv", path]]
+    code = (f"import contextlib, io, sys\nsys.path.insert(0, {str(src)!r})\n"
             "from mixedmono.cli import main\n"
-            "assert main(['tv', '--expr', 'x1*sin(x1)', '--a', '-3', '--b', '4']) == 0\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [main(argv) for argv in {argvs!r}]\n"
+            "assert codes[0] == 0\n"
             "print('scipy' in sys.modules, 'numpy' in sys.modules)\n")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
-    assert run.stdout.splitlines()[-1] == "False True"
+    assert run.stdout.splitlines()[-1] == "False False"
+
+
+def test_linspace_matches_numpy(rng):
+    # the partition grids and the printed tv grid are numpy's points bit for bit
+    cases = [(0.0, 1.0, 10), (-1.0, 1.0, 1024), (-3.7, 2.2, 7), (1.0, 1.0, 4), (-0.0, 0.0, 3),
+             (5e-324, 1e-323, 8), (-5e-324, 5e-324, 1000)]  # step underflows in the last two
+    for _ in range(200):
+        a, b = sorted(rng.uniform(-1e3, 1e3, size=2) * 10.0 ** rng.integers(-300, 300))
+        cases.append((float(a), float(b), int(rng.integers(1, 2000))))
+    for a, b, cells in cases:
+        assert list(map(repr, linspace(a, b, cells))) == \
+            list(map(repr, np.linspace(a, b, cells + 1).tolist())), (a, b, cells)
 
 
 def test_variation_input_validation():

@@ -166,7 +166,7 @@ def _g_reference(spec, f, x, y):
         z = [xj if first else yj for xj, yj, first in zip(x, y, spec.use_first[i])]
         off = 0.0
         for j in range(f.n):
-            off += float(spec.alpha[i, j] - spec.beta[i, j]) * (x[j] - y[j])
+            off += float(spec.alpha[i][j] - spec.beta[i][j]) * (x[j] - y[j])
         out.append(_reference(comp, z) + off)
     return out
 
@@ -264,6 +264,8 @@ def _ifold(e, box):
         return _ifold(e.base, box).power(e.exponent)
     if isinstance(e, Unary):
         u = _ifold(e.arg, box)
+        if e.op == "jump":  # a nonnegative mass where u can vanish
+            return Interval(0.0, math.inf if u.lo <= 0.0 <= u.hi else 0.0)
         return {"neg": u.__neg__, "sin": u.sin, "cos": u.cos, "exp": u.exp, "abs": u.abs,
                 "sign": u.sign, "step": u.step}[e.op]()
     a = _ifold(e.left, box)
@@ -299,8 +301,8 @@ def _boxes(draw, n):
 @example(Binary("add", Var(3), Binary("mul", Var(1), Var(1))),  # left operand fails first
          BoxDomain.from_bounds([(1e200, 1e200)]))
 def test_compiled_interval_matches_interval_fold(e, box):
-    lo = box.lower_corner().tolist()
-    hi = box.upper_corner().tolist()
+    lo = box.lower_corner()
+    hi = box.upper_corner()
     expected = _endpoints(_ifold, e, box)
     assert _endpoints(lower_interval(e), lo, hi) == expected
 
@@ -329,7 +331,7 @@ def _bounded_fields(draw):
           BoxDomain.from_bounds([(1e100, 1e100), (1e100, 1e100), (0.0, 1.0)])))
 def test_jacobian_ranges_match_interval_fold(case):
     f, box = case
-    ranges = f.jacobian_ranges(box.lower_corner().tolist(), box.upper_corner().tolist(), 0.0)
+    ranges = f.jacobian_ranges(box.lower_corner(), box.upper_corner(), 0.0)
     assert [len(row) for row in ranges] == [f.n] * f.m
     got = [tuple(map(repr, pair)) for row in ranges for pair in row]
     expected = [tuple(map(repr, _enclosure_or_line(d, box))) for row in f.jacobian for d in row]
@@ -389,9 +391,17 @@ def test_refine_bounds_matches_reference_bisection(case, depth, epsilon, slack):
             == _endpoints(_refine_reference, f, box, depth, epsilon, slack))
 
 
+def _jump_field(text):
+    return VectorField.from_strings([text], 1), BoxDomain.from_bounds([(-1.0, 1.0)])
+
+
 @settings(PROPERTY, max_examples=100)
 @given(_bounded_fields(), st.integers(0, 3), _EPSILONS, st.lists(_FRACTIONS, min_size=1,
                                                                  max_size=4))
+# jumps inside the box: of both signs (no bracket), and one falling jump
+@example(_jump_field("step(x1) - step(x1-0.5)"), 0, 0.0, [[0.6, 0.0, 0.0]])
+@example(_jump_field("sign(x1)*sign(x1-0.5)"), 0, 0.0, [[0.6, 0.0, 0.0]])
+@example(_jump_field("step(-x1)"), 2, 0.0, [[0.25, 0.0, 0.0], [0.75, 0.0, 0.0]])
 def test_refine_bounds_contains_field(case, depth, epsilon, fractions):
     f, box = case
     try:
