@@ -1,11 +1,10 @@
 """Decomposition functions, interval bounds, and reach tubes for mixed monotone systems."""
 
-from .errors import (BlowupError, ConfigError, DegenerateAxisError, DimensionError,
-                     EvalError, InvalidBoundsError, NonConvergenceError, ParseError,
-                     ToolkitError, UnboundedDerivativeError)
-from .expr import (DEFAULT_SLACK, Binary, Const, Expr, Power, Unary, Var,
-                   differentiate, eval_interval, evaluate, parse, to_string)
-from .interval import BoxDomain, Interval, hull, intersect, leq_orthant
+from .errors import (BlowupError, ConfigError, DimensionError, EvalError, InvalidBoundsError,
+                     NonConvergenceError, ParseError, ToolkitError, UnboundedDerivativeError)
+from .expr import (Binary, Const, Expr, Power, Unary, Var, differentiate, eval_interval,
+                   evaluate, parse, to_string)
+from .interval import BoxDomain, Interval, leq_orthant
 from .jacbounds import JacobianBounds, SignCase, VectorField, classify, jacobian_bounds
 from .decomp import (DecompositionSpec, bound_box, build_decomposition,
                      eval_decomposition, format_decomposition, refine_bounds)
@@ -18,12 +17,11 @@ from .embed import (EmbeddingSystem, ReachTube, build_embedding, integrate_embed
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlowupError", "ConfigError", "DegenerateAxisError", "DimensionError",
-    "EvalError", "InvalidBoundsError", "NonConvergenceError", "ParseError",
-    "ToolkitError", "UnboundedDerivativeError",
-    "DEFAULT_SLACK", "Binary", "Const", "Expr", "Power", "Unary", "Var",
+    "BlowupError", "ConfigError", "DimensionError", "EvalError", "InvalidBoundsError",
+    "NonConvergenceError", "ParseError", "ToolkitError", "UnboundedDerivativeError",
+    "Binary", "Const", "Expr", "Power", "Unary", "Var",
     "differentiate", "eval_interval", "evaluate", "parse", "to_string",
-    "BoxDomain", "Interval", "hull", "intersect", "leq_orthant",
+    "BoxDomain", "Interval", "leq_orthant",
     "JacobianBounds", "SignCase", "VectorField", "classify", "jacobian_bounds",
     "DecompositionSpec", "bound_box", "build_decomposition", "eval_decomposition",
     "format_decomposition", "refine_bounds",

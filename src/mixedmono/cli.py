@@ -333,8 +333,11 @@ def cmd_reach(args) -> int:
         rows.append(",".join(cells))
     text = "\n".join(rows) + "\n"
     if args.output and args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {args.output}: {exc}") from None
     else:
         sys.stdout.write(text)
     return 0
@@ -367,6 +370,11 @@ def cmd_tv(args) -> int:
         f = ScalarFunction(cfg.field.components[0], cfg.domain[0])
     if tol <= 0.0:
         raise ConfigError("tol must be positive")
+    # config values are checked by _float_option; the flags are checked here
+    if not math.isfinite(tol):
+        raise ConfigError("tol must be finite")
+    if args.max_cells < 1:
+        raise ConfigError("--max-cells must be at least 1")
     if args.grid < 2:
         raise ConfigError("--grid needs at least 2 points")
     domain = f.domain

@@ -178,7 +178,11 @@ def _kernel(n: int, rows: list, s: list[float], both: bool) -> list[float]:
 
 
 def eval_decomposition(spec: DecompositionSpec, f: VectorField, x, y) -> list[float]:
-    """g(x, y) componentwise, by one call of decomposition_kernel."""
+    """g(x, y) componentwise, by one call of decomposition_kernel.
+
+    No command calls it: perfbench/layers.py traces decomp.eval_decomposition
+    by name, and its --trace run fails with AttributeError without it.
+    """
     if len(x) != f.n or len(y) != f.n:
         raise DimensionError(f"arguments must have {f.n} entries")
     return decomposition_kernel(spec, f)([float(v) for v in x] + [float(v) for v in y], False)
@@ -188,7 +192,9 @@ def bound_box(spec: DecompositionSpec, f: VectorField, box: BoxDomain) -> list[I
     """Range bracket of f over the box: component i is [g_i(lo, hi), g_i(hi, lo)].
 
     The decomposition must have been built from an enclosure valid on this
-    box (or a superset); that is the caller's obligation.
+    box (or a superset); that is the caller's obligation.  No command calls
+    it: perfbench/layers.py traces decomp.bound_box by name, and its --trace
+    run fails with AttributeError without it.
     """
     if box.n != f.n:
         raise DimensionError(f"arguments must have {f.n} entries")

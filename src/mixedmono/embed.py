@@ -69,7 +69,6 @@ class ReachTube:
     lower: list[list[float]]    # N rows of n floats
     upper: list[list[float]]    # N rows of n floats
     step: float
-    method: str = "rk4"
 
     @property
     def n(self) -> int:

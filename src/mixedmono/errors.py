@@ -21,10 +21,6 @@ class EvalError(ToolkitError):
     """Evaluation hit an undefined operation or a non-finite intermediate."""
 
 
-class DegenerateAxisError(ToolkitError):
-    """Requested split axis has zero width."""
-
-
 class InvalidBoundsError(ToolkitError):
     """(a, b) is not a valid open derivative enclosure."""
 

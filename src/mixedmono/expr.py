@@ -33,12 +33,7 @@ from typing import Callable, Sequence, Union
 from .errors import DimensionError, EvalError, ParseError
 from .interval import (BoxDomain, Interval, iv_abs, iv_add, iv_cos, iv_div, iv_exp, iv_jump,
                        iv_max, iv_min, iv_mul, iv_neg, iv_power, iv_sign, iv_sin, iv_step,
-                       iv_sub, iv_widen)
-
-# Slack for callers that want enclosures guaranteed outward of the exact
-# range despite rounding; eval_interval itself defaults to no widening so
-# that tight ranges (even powers, sine extrema) come out exact.
-DEFAULT_SLACK = 1e-12
+                       iv_sub)
 
 _UNARY_FUNCS = ("sin", "cos", "exp", "abs", "sign", "step", "jump")
 _BINARY_FUNCS = ("min", "max")
@@ -334,24 +329,27 @@ def evaluate(e: Expr, point: Sequence[float]) -> float:
     """Evaluate at a finite point (index k of the point is variable x{k+1}).
 
     Compiles e on every call; code that evaluates one tree many times keeps
-    the closure of compile_expr instead.
+    the closure of compile_expr instead.  No command calls it:
+    perfbench/layers.py traces expr.evaluate by name, and its --trace run
+    fails with AttributeError without it.
     """
     return compile_expr(e)([float(v) for v in point])
 
 
 def compile_expr(e: Expr) -> Callable[[Sequence[float]], float]:
-    """The evaluator of lower(e), with the checks of evaluate (x{k+1} is entry k).
+    """The checked evaluator of e: x{k+1} reads entry k of the point.
 
-    Generates and compiles e once.  The evaluator raises EvalError for a
-    non-finite point entry, division by zero, zero to a negative power,
-    power or exp overflow, sin or cos of an infinity and a non-finite value,
-    and DimensionError when the point has too few entries.
+    Generates and compiles e once, by lower_factory bound to the slots
+    0 .. n-1, n the highest variable index of e.  The evaluator raises
+    EvalError for a non-finite point entry, division by zero, zero to a
+    negative power, power or exp overflow, sin or cos of an infinity and a
+    non-finite value, and DimensionError when the point has too few entries.
     """
-    return checked(lower(e))
+    return checked(lower_factory(e)(range(max(variables(e), default=0))))
 
 
 def checked(run: Callable[[Sequence[float]], float]) -> Callable[[Sequence[float]], float]:
-    """run, an evaluator of lower, with the finiteness checks of compile_expr."""
+    """run, an evaluator bound by lower_factory, with the finiteness checks of compile_expr."""
 
     def compiled(p: Sequence[float]) -> float:
         if not all(map(_isfinite, p)):
@@ -364,21 +362,13 @@ def checked(run: Callable[[Sequence[float]], float]) -> Callable[[Sequence[float
     return compiled
 
 
-def lower(e: Expr, slots: Sequence[int] | None = None) -> Callable[[Sequence[float]], float]:
-    """The function computing e at p, without the checks of compile_expr.
-
-    x{j} reads p[j - 1], or p[slots[j - 1]] when slots is given, so that one
-    list can feed a tree whose variables are picked from any of its entries.
-    Generates and compiles e on every call; code that binds one tree to
-    several slot tuples keeps the factory of lower_factory instead.
-    """
-    if slots is None:
-        slots = range(max(variables(e), default=0))
-    return lower_factory(e)(slots)
-
-
 def lower_factory(e: Expr) -> Callable[[Sequence[int]], Callable[[Sequence[float]], float]]:
-    """Compile e once into straight-line Python; factory(slots) binds it as lower(e, slots) does.
+    """Compile e once into straight-line Python; factory(slots) binds it to a slot tuple.
+
+    The bound function computes e at p, without the checks of compile_expr:
+    x{j} reads p[slots[j - 1]], so that one list can feed a tree whose
+    variables are picked from any of its entries, and one compile serves
+    every slot tuple.
 
     The generated function assigns one temporary per node, so its source
     nests no deeper for a deeper tree, and evaluates operands left to right,
@@ -613,38 +603,24 @@ def differentiate(e: Expr, j: int) -> Expr:
 def eval_interval(e: Expr, box: BoxDomain, slack: float = 0.0) -> Interval:
     """Natural interval extension of e over the box.
 
-    One call of the evaluator of lower_interval, widened outward by slack
-    (see DEFAULT_SLACK); the default of zero keeps exact ranges exact.
-    Builds the node list of e on every call; code that encloses one tree
-    over many boxes keeps the evaluator instead.  Raises DimensionError for
-    the first variable, left to right, that the box lacks, and the
-    ValueError of Interval where an image is no interval.
+    The one-tree case of lower_intervals, widened outward by slack; the
+    default of zero keeps exact ranges exact, the sign of a zero endpoint
+    included.  Builds the node list of e on every call; code that encloses
+    one tree over many boxes keeps the evaluator of lower_intervals instead.
+    Raises DimensionError for the first variable, left to right, that the
+    box lacks, and the ValueError of Interval where an image is no interval.
+    No command calls it: perfbench/layers.py traces expr.eval_interval by
+    name, and its --trace run fails with AttributeError without it.
     """
     if slack < 0.0:
         raise ValueError("slack must be nonnegative")
-    run = lower_interval(e)
-    return Interval(*iv_widen(*run(box.lower_corner(), box.upper_corner()), slack))
-
-
-def lower_interval(e: Expr) -> Callable[[Sequence[float], Sequence[float]], tuple[float, float]]:
-    """The enclosure of the range of e over a box given by its corners.
-
-    The one-tree case of lower_intervals: the evaluator maps the lists lo
-    and hi of the box's endpoints to the endpoints (lo, hi) of the
-    enclosure.  It raises DimensionError for the first variable, left to
-    right, that the lists lack, and the ValueError of Interval where an
-    image is no interval (an overflow to [inf, inf], say), whichever
-    evaluation reaches first.
-    """
-    run = lower_intervals((e,))
-
-    def enclose(lo: Sequence[float], hi: Sequence[float]) -> tuple[float, float]:
-        (r,) = run(lo, hi)
-        if isinstance(r, ValueError):
-            raise r
-        return r
-
-    return enclose
+    (r,) = lower_intervals((e,))(box.lower_corner(), box.upper_corner())
+    if isinstance(r, ValueError):
+        raise r
+    lo, hi = r
+    if slack:
+        lo, hi = lo - slack, hi + slack
+    return Interval(lo, hi)
 
 
 def lower_intervals(trees: Sequence[Expr]) -> Callable[[Sequence[float], Sequence[float]], list]:

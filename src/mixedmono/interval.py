@@ -1,8 +1,11 @@
-"""Closed extended-real intervals and finite boxes under the componentwise order.
+"""Interval range rules on float endpoints, checked endpoint pairs, and finite boxes.
 
-The only order used anywhere in this package is the positive-orthant one:
-p <= q componentwise.  Intervals may have infinite endpoints (never both of
-the same sign); boxes are always finite.
+The range rules are the iv_* functions below; expr.lower_intervals runs
+them.  An Interval is a checked endpoint pair with no arithmetic of its own,
+and a BoxDomain is one finite Interval per axis.  The only order used
+anywhere in this package is the positive-orthant one: p <= q componentwise.
+Intervals may have infinite endpoints (never both of the same sign); boxes
+are always finite.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DegenerateAxisError, DimensionError
+from .errors import DimensionError
 
 _INF = math.inf
 _TWO_PI = 2.0 * math.pi
@@ -59,8 +62,9 @@ def _step(v: float) -> float:
 # Each rule takes the float endpoints of valid intervals and returns the
 # endpoints (lo, hi) of the image.  A rule whose image can leave the valid
 # intervals (overflow to [inf, inf], say) checks it and raises the ValueError
-# that Interval itself raises.  The Interval methods and the nodes of
-# expr.lower_intervals are thin calls of these rules.
+# that Interval itself raises.  These rules are the package's one interval
+# arithmetic: the nodes of expr.lower_intervals call them, and decomp's
+# bisection hulls and intersects its brackets with iv_hull and iv_intersect.
 
 def iv_checked(lo: float, hi: float) -> tuple[float, float]:
     """(lo, hi) when they are the endpoints of an Interval; Interval's ValueError otherwise."""
@@ -185,14 +189,6 @@ def iv_jump(lo: float, hi: float) -> tuple[float, float]:
     return (0.0, _INF) if lo <= 0.0 <= hi else (0.0, 0.0)
 
 
-def iv_widen(lo: float, hi: float, delta: float) -> tuple[float, float]:
-    if delta == 0.0:
-        return lo, hi
-    if delta < 0.0:
-        raise ValueError("widening slack must be nonnegative")
-    return iv_checked(lo - delta, hi + delta)
-
-
 def iv_hull(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
     return min(alo, blo), max(ahi, bhi)
 
@@ -206,7 +202,8 @@ def iv_intersect(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float,
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval [lo, hi]; endpoints may be infinite but never NaN."""
+    """Closed interval [lo, hi], checked by iv_checked; endpoints may be
+    infinite but never NaN.  Its arithmetic is the iv_* rules on lo and hi."""
 
     lo: float
     hi: float
@@ -216,17 +213,9 @@ class Interval:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    @classmethod
-    def point(cls, v: float) -> "Interval":
-        return cls(v, v)
-
     @property
     def width(self) -> float:
         return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
 
     def is_finite(self) -> bool:
         return math.isfinite(self.lo) and math.isfinite(self.hi)
@@ -237,64 +226,8 @@ class Interval:
     def contains_interval(self, other: "Interval", slack: float = 0.0) -> bool:
         return self.lo - slack <= other.lo and other.hi <= self.hi + slack
 
-    def widen(self, delta: float) -> "Interval":
-        return Interval(*iv_widen(self.lo, self.hi, delta))
-
     def __repr__(self) -> str:
         return f"Interval({self.lo!r}, {self.hi!r})"
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __neg__(self) -> "Interval":
-        return Interval(*iv_neg(self.lo, self.hi))
-
-    def __add__(self, other: "Interval") -> "Interval":
-        return Interval(*iv_add(self.lo, self.hi, other.lo, other.hi))
-
-    def __sub__(self, other: "Interval") -> "Interval":
-        return Interval(*iv_sub(self.lo, self.hi, other.lo, other.hi))
-
-    def __mul__(self, other: "Interval") -> "Interval":
-        return Interval(*iv_mul(self.lo, self.hi, other.lo, other.hi))
-
-    def __truediv__(self, other: "Interval") -> "Interval":
-        return Interval(*iv_div(self.lo, self.hi, other.lo, other.hi))
-
-    def power(self, n: int) -> "Interval":
-        """Tight image of x^n over the interval (exact range, not repeated products)."""
-        return Interval(*iv_power(self.lo, self.hi, int(n)))
-
-    def abs(self) -> "Interval":
-        return Interval(*iv_abs(self.lo, self.hi))
-
-    def exp(self) -> "Interval":
-        return Interval(*iv_exp(self.lo, self.hi))
-
-    def sin(self) -> "Interval":
-        return Interval(*iv_sin(self.lo, self.hi))
-
-    def cos(self) -> "Interval":
-        return Interval(*iv_cos(self.lo, self.hi))
-
-    def min_with(self, other: "Interval") -> "Interval":
-        return Interval(*iv_min(self.lo, self.hi, other.lo, other.hi))
-
-    def max_with(self, other: "Interval") -> "Interval":
-        return Interval(*iv_max(self.lo, self.hi, other.lo, other.hi))
-
-    def sign(self) -> "Interval":
-        return Interval(*iv_sign(self.lo, self.hi))
-
-    def step(self) -> "Interval":
-        return Interval(*iv_step(self.lo, self.hi))
-
-
-def hull(a: Interval, b: Interval) -> Interval:
-    return Interval(*iv_hull(a.lo, a.hi, b.lo, b.hi))
-
-
-def intersect(a: Interval, b: Interval) -> Interval:
-    return Interval(*iv_intersect(a.lo, a.hi, b.lo, b.hi))
 
 
 def leq_orthant(p: Sequence[float], q: Sequence[float]) -> bool:
@@ -336,29 +269,5 @@ class BoxDomain:
     def upper_corner(self) -> list[float]:
         return [iv.hi for iv in self.intervals]
 
-    def contains(self, point: Sequence[float], slack: float = 0.0) -> bool:
-        if len(point) != self.n:
-            raise DimensionError(f"point of {len(point)} entries in a {self.n}-dimensional box")
-        return all(iv.contains(v, slack) for iv, v in zip(self.intervals, point))
-
     def widths(self) -> list[float]:
         return [iv.width for iv in self.intervals]
-
-    def widest_axis(self) -> int:
-        """1-based index of the widest axis; ties go to the lowest index."""
-        widths = self.widths()
-        return widths.index(max(widths)) + 1
-
-    def split(self, axis: int) -> tuple["BoxDomain", "BoxDomain"]:
-        """Halve the box at the midpoint of the given axis (1-based)."""
-        if not 1 <= axis <= self.n:
-            raise DimensionError(f"axis {axis} outside 1..{self.n}")
-        iv = self.intervals[axis - 1]
-        if iv.width == 0.0:
-            raise DegenerateAxisError(f"axis {axis} has zero width")
-        mid = iv.midpoint
-        left = list(self.intervals)
-        right = list(self.intervals)
-        left[axis - 1] = Interval(iv.lo, mid)
-        right[axis - 1] = Interval(mid, iv.hi)
-        return BoxDomain(tuple(left)), BoxDomain(tuple(right))

@@ -79,7 +79,7 @@ class VectorField:
             raise ValueError("slack must be nonnegative")
         flat = [(-math.inf, math.inf) if isinstance(r, ValueError) else r
                 for r in self.jacobian_interval(lo, hi)]
-        if slack:  # a widened interval is an interval: no iv_widen check per entry
+        if slack:  # a widened interval is an interval: no check per entry
             flat = [(a - slack, b + slack) for a, b in flat]
         n = self.n
         return [flat[k:k + n] for k in range(0, len(flat), n)]

@@ -125,6 +125,11 @@ class ScalarFunction:
         return d
 
 
+def _check_tol(tol: float):
+    if not 0.0 < tol < math.inf:  # NaN fails too
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
 def _check_sub(f: ScalarFunction, sub: Interval):
     if not sub.is_finite():
         raise ValueError("variation is computed over finite intervals only")
@@ -243,11 +248,11 @@ def total_variation(f: ScalarFunction, sub: Interval, tol: float = 1e-8,
     detected at that resolution, until two successive estimates in a row
     differ by less than tol and, for a smooth f, the estimate is within tol
     of the floor from the scan of f'.  Raises NonConvergenceError at the
-    cell cap max_cells.  The value is the last running sum of the converged
-    partition, which jordan_split reads too.
+    cell cap max_cells, and ValueError unless 0 < tol < inf.  The value is
+    the last running sum of the converged partition, which jordan_split
+    reads too.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     _check_sub(f, sub)
     if sub.width == 0.0:
         return 0.0
@@ -340,10 +345,12 @@ def unbounded_split(f: ScalarFunction, tol: float = 1e-8) -> UnboundedSplit:
     partition of a window [lo, hi] around 0, by the prefix read of
     jordan_split.  An argument outside the window grows that side to at
     least twice its reach, and the window is partitioned again; so a sweep
-    over arguments builds a few partitions, not one per argument.
+    over arguments builds a few partitions, not one per argument.  Raises
+    ValueError unless 0 < tol < inf.
     """
     if f.domain is not None:
         raise ValueError("function must be declared on the whole line (domain=None)")
+    _check_tol(tol)
     cached = f._unbounded_cache.get(tol)
     if cached is not None:
         return cached

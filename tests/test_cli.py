@@ -1,5 +1,6 @@
 """Command-line interface: configs, subcommands, output schemas, exit codes."""
 
+import importlib
 import math
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mixedmono import ConfigError, cli
+from mixedmono import ConfigError, EmbeddingSystem, Interval, ScalarFunction, cli
 from mixedmono.cli import main, parse_config_text
 
 SQUARE = """\
@@ -243,6 +244,16 @@ def test_reach_writes_output_file(capsys, cfg_file, tmp_path):
     assert lines[0] == "t,lower_1,upper_1" and len(lines) == 4
 
 
+def test_reach_reports_an_unwritable_output(capsys, cfg_file, tmp_path):
+    # used to end in a FileNotFoundError traceback
+    dest = tmp_path / "missing" / "tube.csv"
+    rc, out, err = _run(capsys, ["reach", cfg_file(NEGATION), "--t-end", "0.2",
+                                 "--step", "0.1", "--output", str(dest)])
+    assert rc == 1 and out == ""
+    assert err.startswith(f"error: cannot write output {dest}: ")
+    assert not dest.exists()
+
+
 def test_reach_rejects_bad_corners(capsys, cfg_file):
     rc, _, err = _run(capsys, ["reach", cfg_file(NEGATION), "--x0-lo", "1",
                                "--x0-hi", "0"])
@@ -323,6 +334,26 @@ def test_tv_source_validation(capsys, cfg_file):
     assert rc == 1 and "bad expression" in err
     rc, _, err = _run(capsys, ["tv", cfg_file(COUPLED)])
     assert rc == 1 and "scalar config" in err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tol", "inf", "tol must be finite"),
+    ("--tol", "nan", "tol must be finite"),
+    ("--max-cells", "-5", "--max-cells must be at least 1"),
+    ("--max-cells", "0", "--max-cells must be at least 1")])
+def test_tv_rejects_bad_tolerance_and_cell_flags(capsys, flag, value, message):
+    # --tol inf printed TV = 43.3137085 here (the TV is 2800), --tol nan ran
+    # to the cell cap and exited 4, and --max-cells -5 exited 4
+    rc, out, err = _run(capsys, ["tv", "--expr", "sin(700*x1)", "--a", "0",
+                                 "--b", "6.283185307179586", flag, value])
+    assert rc == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_tv_rejects_a_non_finite_config_tolerance(capsys, cfg_file):
+    rc, out, err = _run(capsys, ["tv", cfg_file(SQUARE + "tol = nan\n")])
+    assert rc == 1 and out == ""
+    assert err == "error: options.tol: must be finite\n"
 
 
 # -- exit codes ----------------------------------------------------------------------
@@ -470,3 +501,29 @@ def test_one_parser_serves_consecutive_commands(capsys, cfg_file, monkeypatch):
         monkeypatch.setattr(cli, "_PARSER", cli._build_parser())
         alone.append(_run(capsys, argv)[:2])
     assert in_sequence == alone
+
+
+def test_perfbench_tracer_finds_and_restores_its_names(capsys, cfg_file, monkeypatch):
+    # perfbench/layers.py wraps program functions by name; a name it lists
+    # that the program lost would only break perfbench --trace runs
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    layers = importlib.import_module("layers")
+
+    def program_attributes():
+        owners = [m for name, m in sys.modules.items() if name.startswith("mixedmono.")]
+        owners += [Interval, EmbeddingSystem, ScalarFunction]
+        return {(id(owner), name): value for owner in owners for name, value in vars(owner).items()}
+
+    before = program_attributes()
+    tracer = layers.Tracer()
+    try:
+        tracer.install()
+        assert _run(capsys, ["bound", cfg_file(COUPLED), "--depth", "1"])[0] == 0
+        assert _run(capsys, ["tv", "--expr", "x1*sin(x1)", "--a", "-2", "--b", "3"])[0] == 0
+        assert tracer.calls["decomp.refine_bounds"] > 0
+        assert tracer.calls["jordan.total_variation"] > 0
+    finally:
+        tracer.uninstall()
+    after = program_attributes()
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())

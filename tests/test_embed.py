@@ -112,7 +112,7 @@ def test_tube_time_grid_divisible():
     tube = integrate_embedding(sys, [0.0], [1.0], 1.0, step=0.25)
     assert tube.times == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
     assert np.shape(tube.lower) == (5, 1) and np.shape(tube.upper) == (5, 1)
-    assert tube.step == 0.25 and tube.method == "rk4"
+    assert tube.step == 0.25
 
 
 def test_tube_time_grid_with_remainder():

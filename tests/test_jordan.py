@@ -178,6 +178,20 @@ def test_variation_input_validation():
         total_variation(f, Interval(0.0, 7.0))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.inf, math.nan])
+def test_tolerance_must_be_positive_and_finite(tol):
+    # tol = inf gave a variation of 43.31 here, where it is 2800, and the
+    # whole-line split with tol = 0 ran to the cell cap
+    f = _on("sin(700*x1)", 0.0, TWO_PI)
+    g = ScalarFunction.on_reals("x1*sin(x1)")
+    calls = [lambda: total_variation(f, f.domain, tol), lambda: jordan_split(f, tol),
+             lambda: bv_decomposition_eval(f, 0.0, 1.0, tol), lambda: unbounded_split(g, tol),
+             lambda: unbounded_decomposition(g, 1.0, 1.0, tol)]
+    for call in calls:
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            call()
+
+
 def test_variation_partition_cap_raises():
     # hundreds of oscillations: no small cell budget can resolve them all
     f = _on("abs(sin(1/x1))", 1e-3, 1.0)

@@ -11,9 +11,11 @@ from mixedmono import (Binary, BlowupError, BoxDomain, Const, DecompositionSpec,
                        EvalError, Interval, InvalidBoundsError, NonConvergenceError, Power,
                        ReachTube, ScalarFunction, UnboundedDerivativeError, Unary, Var,
                        VectorField, bound_box, build_decomposition, build_embedding,
-                       eval_decomposition, eval_interval, evaluate, hull, integrate_embedding,
-                       intersect, jacobian_bounds, jordan_split, refine_bounds, total_variation)
-from mixedmono.expr import compile_expr, is_smooth, lower_interval
+                       eval_decomposition, eval_interval, evaluate, integrate_embedding,
+                       jacobian_bounds, jordan_split, refine_bounds, total_variation)
+from mixedmono.expr import compile_expr, is_smooth
+from mixedmono.interval import (iv_abs, iv_add, iv_cos, iv_div, iv_exp, iv_max, iv_min, iv_mul,
+                                iv_neg, iv_power, iv_sign, iv_sin, iv_step, iv_sub)
 
 N = 3
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -252,26 +254,30 @@ def test_decomposition_agrees_with_field_on_diagonal(case):
 
 # -- interval evaluation -----------------------------------------------------------------
 
+_IV_UNARY = {"neg": iv_neg, "sin": iv_sin, "cos": iv_cos, "exp": iv_exp, "abs": iv_abs,
+             "sign": iv_sign, "step": iv_step}
+_IV_BINARY = {"add": iv_add, "sub": iv_sub, "mul": iv_mul, "div": iv_div, "min": iv_min,
+              "max": iv_max}
+
+
 def _ifold(e, box):
-    """The natural interval extension of e, folded over the Interval methods."""
+    """The natural interval extension of e, the range rules folded over the tree
+    one node at a time: the endpoints (lo, hi) of its enclosure."""
     if isinstance(e, Const):
-        return Interval.point(e.value)
+        return e.value, e.value
     if isinstance(e, Var):
         if e.index > box.n:
             raise DimensionError("short box")
-        return box[e.index - 1]
+        return box[e.index - 1].lo, box[e.index - 1].hi
     if isinstance(e, Power):
-        return _ifold(e.base, box).power(e.exponent)
+        return iv_power(*_ifold(e.base, box), e.exponent)
     if isinstance(e, Unary):
-        u = _ifold(e.arg, box)
+        lo, hi = _ifold(e.arg, box)
         if e.op == "jump":  # a nonnegative mass where u can vanish
-            return Interval(0.0, math.inf if u.lo <= 0.0 <= u.hi else 0.0)
-        return {"neg": u.__neg__, "sin": u.sin, "cos": u.cos, "exp": u.exp, "abs": u.abs,
-                "sign": u.sign, "step": u.step}[e.op]()
+            return 0.0, math.inf if lo <= 0.0 <= hi else 0.0
+        return _IV_UNARY[e.op](lo, hi)
     a = _ifold(e.left, box)
-    b = _ifold(e.right, box)
-    return {"add": a.__add__, "sub": a.__sub__, "mul": a.__mul__, "div": a.__truediv__,
-            "min": a.min_with, "max": a.max_with}[e.op](b)
+    return _IV_BINARY[e.op](*a, *_ifold(e.right, box))
 
 
 def _endpoints(fn, *args):
@@ -301,19 +307,15 @@ def _boxes(draw, n):
 @example(Binary("add", Var(3), Binary("mul", Var(1), Var(1))),  # left operand fails first
          BoxDomain.from_bounds([(1e200, 1e200)]))
 def test_compiled_interval_matches_interval_fold(e, box):
-    lo = box.lower_corner()
-    hi = box.upper_corner()
-    expected = _endpoints(_ifold, e, box)
-    assert _endpoints(lower_interval(e), lo, hi) == expected
+    assert _endpoints(eval_interval, e, box) == _endpoints(_ifold, e, box)
 
 
 def _enclosure_or_line(e, box):
     """_ifold's endpoints, or the whole line where a range is no interval."""
     try:
-        iv = _ifold(e, box)
+        return _ifold(e, box)
     except ValueError:
         return -math.inf, math.inf
-    return iv.lo, iv.hi
 
 
 @st.composite
@@ -360,20 +362,27 @@ def test_eval_interval_contains_evaluate(e, box, fractions):
 # -- refine_bounds -------------------------------------------------------------------
 
 def _refine_reference(f, box, depth, epsilon, slack):
-    """The bisection over the public layers, one Interval at a time."""
+    """The bisection over the public layers, one Interval at a time, with its
+    own split, hull and intersection on endpoints."""
     parent = bound_box(build_decomposition(jacobian_bounds(f, box, slack=slack), epsilon), f, box)
     if depth == 0:
         return parent
-    axis = box.widest_axis()
-    if box[axis - 1].width == 0.0:
+    widths = box.widths()
+    k = widths.index(max(widths))  # the widest axis; ties go to the lowest index
+    if widths[k] == 0.0:
         return parent
+    split = box[k]
+    mid = 0.5 * (split.lo + split.hi)
     children = []
-    for half in box.split(axis):
+    for half in (Interval(split.lo, mid), Interval(mid, split.hi)):
+        child = BoxDomain(box.intervals[:k] + (half,) + box.intervals[k + 1:])
         try:
-            children.append(_refine_reference(f, half, depth - 1, epsilon, slack))
+            children.append(_refine_reference(f, child, depth - 1, epsilon, slack))
         except UnboundedDerivativeError:
             children.append(parent)
-    return [intersect(hull(a, b), p) for a, b, p in zip(*children, parent)]
+    # the children's hull intersected with the parent; Interval rejects a disjoint pair
+    return [Interval(max(min(a.lo, b.lo), p.lo), min(max(a.hi, b.hi), p.hi))
+            for a, b, p in zip(*children, parent)]
 
 
 _EPSILONS = st.sampled_from([0.0, 0.25])
