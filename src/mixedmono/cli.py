@@ -45,7 +45,8 @@ from .errors import (BlowupError, ConfigError, EvalError, NonConvergenceError, P
                      ToolkitError, UnboundedDerivativeError)
 from .interval import BoxDomain, Interval
 from .jacbounds import VectorField, classify, jacobian_bounds
-from .jordan import DEFAULT_MAX_CELLS, ScalarFunction, jordan_split, linspace, total_variation
+from .jordan import (DEFAULT_MAX_CELLS, MIN_CELLS, ScalarFunction, jordan_split, linspace,
+                     total_variation)
 
 _OPTION_KEYS = ("epsilon", "slack", "depth", "step", "t_end", "tol", "format")
 
@@ -299,6 +300,9 @@ def _parse_vector(flag: str, raw: str, n: int) -> list[float]:
 
 def cmd_reach(args) -> int:
     cfg = parse_config(args.config)
+    if cfg.field.m != cfg.dim:
+        raise ConfigError(f"reach needs a square config: dim = {cfg.dim} components, "
+                          f"got {cfg.field.m}")
     t_end = cfg.options.t_end if args.t_end is None else args.t_end
     step = cfg.options.step if args.step is None else args.step
     if step <= 0.0:
@@ -373,8 +377,8 @@ def cmd_tv(args) -> int:
     # config values are checked by _float_option; the flags are checked here
     if not math.isfinite(tol):
         raise ConfigError("tol must be finite")
-    if args.max_cells < 1:
-        raise ConfigError("--max-cells must be at least 1")
+    if args.max_cells < MIN_CELLS:
+        raise ConfigError(f"--max-cells must be at least {MIN_CELLS}")
     if args.grid < 2:
         raise ConfigError("--grid needs at least 2 points")
     domain = f.domain

@@ -255,7 +255,8 @@ def _refine(f: VectorField, lo: list[float], hi: list[float], depth: int, epsilo
         return parent  # fully degenerate box, nothing to split
     mid = 0.5 * (lo[k] + hi[k])
     if not math.isfinite(mid):
-        raise ValueError(f"box axis {k + 1} has no finite midpoint")
+        # lo + hi overflowed; the sum of the halves cannot, and lies in [lo, hi]
+        mid = 0.5 * lo[k] + 0.5 * hi[k]
     children = []
     for clo, chi in ((lo, hi[:k] + [mid] + hi[k + 1:]), (lo[:k] + [mid] + lo[k + 1:], hi)):
         try:

@@ -370,24 +370,40 @@ def lower_factory(e: Expr) -> Callable[[Sequence[int]], Callable[[Sequence[float
     variables are picked from any of its entries, and one compile serves
     every slot tuple.
 
-    The generated function assigns one temporary per node, so its source
-    nests no deeper for a deeper tree, and evaluates operands left to right,
-    so the first failing node raises.  Each variable is read from p once,
-    where evaluation first reaches it, and a point too short for it raises
-    DimensionError there.  div, power, exp, sin and cos call helpers that
-    raise EvalError, sign, step and jump call helpers too, and + - * neg abs
-    min max are inlined.  The source holds only node kinds, integers and the
-    repr of finite floats.
+    The generated function runs the program of _program: one assignment
+    per node, in the order evaluation first reaches it, so its source nests
+    no deeper for a deeper tree, a subtree that occurs twice is computed
+    once, and the first failing node raises.  Each variable is read from p
+    once, where evaluation first reaches it, and a point too short for it
+    raises DimensionError there.  div, power, exp, sin and cos call helpers
+    that raise EvalError, sign, step and jump call helpers too, and
+    + - * neg abs min max are inlined.  The source holds only node kinds,
+    integers and the repr of finite floats.
     """
+    nodes, (root,) = _program((e,))
+    names: list[str] = []  # the name or literal holding each node
     lines: list[str] = []
     reads: list[int] = []
-    result = _emit(e, lines, reads)
+    for k, (kind, *rest) in enumerate(nodes):
+        if kind == "c":
+            text = repr(rest[0])
+            names.append(f"({text})" if text.startswith("-") else text)
+            continue
+        if kind == "x":
+            reads.append(rest[0])
+            names.append(f"x{rest[0]}")
+            text = f"p[k{rest[0]}]"
+        else:
+            source, _, *args = rest
+            names.append(f"t{k}")
+            text = source.format(*(names[a] for a in args))
+        lines.append(f"{names[k]} = {text}")
     src = "\n".join(
         ["def make(slots):"]
         + [f"    k{j} = slots[{j - 1}]" for j in reads]
         + ["    def run(p):", "        try:"]
         + [f"            {line}" for line in lines]
-        + [f"            return {result}",
+        + [f"            return {names[root]}",
            "        except IndexError:",
            f"            raise _short(p, ({''.join(f'({j}, k{j}), ' for j in reads)})) from None",
            "    return run"])
@@ -396,38 +412,65 @@ def lower_factory(e: Expr) -> Callable[[Sequence[int]], Callable[[Sequence[float
     return namespace["make"]
 
 
-# the source of a node from the source of its operands
-_UNARY_TEXT = {"neg": "-{}", "abs": "abs({})", "sin": "_sin({})", "cos": "_cos({})",
-               "exp": "_exp({})", "sign": "_sign({})", "step": "_step({})",
-               "jump": "_jump({})"}
-_BINARY_TEXT = {"add": "{} + {}", "sub": "{} - {}", "mul": "{} * {}", "div": "_div({}, {})",
-                "min": "min({}, {})", "max": "max({}, {})"}
+def _program(trees: Sequence[Expr]) -> tuple[list[tuple], list[int]]:
+    """The shared-node program that both evaluators run: (nodes, roots).
+
+    nodes holds every distinct subtree of the trees once, in the order
+    evaluation first reaches it: trees in order, operands left to right,
+    each operand before its node.  A node is ("c", value), ("x", j) or
+    ("t", source, rule, *operands): the point source of an op, a format
+    string over the names of its operands, its range rule from interval.py,
+    and the indices in nodes of its operands.  roots[i] is the index of
+    trees[i].  Constants are keyed by value and sign of zero, variables by
+    index, and ops by kind and operands.
+    """
+    table: dict = {}
+    nodes: list[tuple] = []
+    roots = [_intern(e, table, nodes) for e in trees]
+    return nodes, roots
 
 
-def _emit(e: Expr, lines: list[str], reads: list[int]) -> str:
-    """Append the assignments computing e to lines, and the indices of the
-    variables it reads first to reads; return the name or literal holding e."""
+def _intern(e: Expr, table: dict, nodes: list) -> int:
+    """The index of e's node in nodes, appended after its operands where new."""
     if isinstance(e, Const):
-        text = repr(e.value)
-        return f"({text})" if text.startswith("-") else text
-    if isinstance(e, Var):
-        j = operator.index(e.index)
-        if j not in reads:
-            reads.append(j)
-            lines.append(f"x{j} = p[k{j}]")
-        return f"x{j}"
-    if isinstance(e, Power):
-        text = f"_pow({_emit(e.base, lines, reads)}, {int(e.exponent)})"
-    elif isinstance(e, Unary) and e.op in _UNARY_TEXT:
-        text = _UNARY_TEXT[e.op].format(_emit(e.arg, lines, reads))
-    elif isinstance(e, Binary) and e.op in _BINARY_TEXT:
-        left = _emit(e.left, lines, reads)
-        text = _BINARY_TEXT[e.op].format(left, _emit(e.right, lines, reads))
+        # 0.0 and -0.0 are equal but not interchangeable
+        key, node = ("c", e.value, math.copysign(1.0, e.value)), ("c", e.value)
+    elif isinstance(e, Var):
+        key = node = ("x", operator.index(e.index))
     else:
-        raise TypeError(f"not an expression node: {e!r}")
-    name = f"t{len(lines)}"
-    lines.append(f"{name} = {text}")
-    return name
+        if isinstance(e, Power):
+            n = int(e.exponent)
+            args = (_intern(e.base, table, nodes),)
+            key, (source, rule) = ("^", n, *args), (f"_pow({{}}, {n})", _power_rule(n))
+        elif isinstance(e, Unary) and e.op in _UNARY:
+            args = (_intern(e.arg, table, nodes),)
+            key, (source, rule) = (e.op, *args), _UNARY[e.op]
+        elif isinstance(e, Binary) and e.op in _BINARY:
+            left = _intern(e.left, table, nodes)
+            args = (left, _intern(e.right, table, nodes))
+            key, (source, rule) = (e.op, *args), _BINARY[e.op]
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+        node = ("t", source, rule, *args)
+    if key not in table:
+        table[key] = len(nodes)
+        nodes.append(node)
+    return table[key]
+
+
+def _power_rule(n: int):
+    def power(lo: float, hi: float) -> tuple[float, float]:
+        return iv_power(lo, hi, n)
+    return power
+
+
+# each op kind's point source, over the names of its operands, and its range rule
+_UNARY = {"neg": ("-{}", iv_neg), "abs": ("abs({})", iv_abs), "sin": ("_sin({})", iv_sin),
+          "cos": ("_cos({})", iv_cos), "exp": ("_exp({})", iv_exp), "sign": ("_sign({})", iv_sign),
+          "step": ("_step({})", iv_step), "jump": ("_jump({})", iv_jump)}
+_BINARY = {"add": ("{} + {}", iv_add), "sub": ("{} - {}", iv_sub), "mul": ("{} * {}", iv_mul),
+           "div": ("_div({}, {})", iv_div), "min": ("min({}, {})", iv_min),
+           "max": ("max({}, {})", iv_max)}
 
 
 def _short(p: Sequence[float], reads: tuple[tuple[int, int], ...]) -> DimensionError:
@@ -607,8 +650,9 @@ def eval_interval(e: Expr, box: BoxDomain, slack: float = 0.0) -> Interval:
     default of zero keeps exact ranges exact, the sign of a zero endpoint
     included.  Builds the node list of e on every call; code that encloses
     one tree over many boxes keeps the evaluator of lower_intervals instead.
-    Raises DimensionError for the first variable, left to right, that the
-    box lacks, and the ValueError of Interval where an image is no interval.
+    Raises the first failure that evaluation, operands left to right, meets:
+    DimensionError for a variable the box lacks, or the ValueError of
+    Interval where an image is no interval.
     No command calls it: perfbench/layers.py traces expr.eval_interval by
     name, and its --trace run fails with AttributeError without it.
     """
@@ -624,7 +668,7 @@ def eval_interval(e: Expr, box: BoxDomain, slack: float = 0.0) -> Interval:
 
 
 def lower_intervals(trees: Sequence[Expr]) -> Callable[[Sequence[float], Sequence[float]], list]:
-    """One flat list of shared nodes enclosing the ranges of several trees over a box.
+    """The program of _program, run as one flat list of nodes enclosing the ranges of trees.
 
     run(lo, hi) maps the lists of the box's endpoints to a list holding, for
     each tree in order, the endpoints (lo, hi) of its enclosure, or the
@@ -636,64 +680,53 @@ def lower_intervals(trees: Sequence[Expr]) -> Callable[[Sequence[float], Sequenc
 
     Structurally equal subtrees, within a tree or across trees, are one
     node, enclosed once per call; constants and variables cost nothing.
-    The list is built without compile.  Each tree keeps the outcome of its
-    own walk, operands left to right: a node whose image is no interval
-    fails every tree that reaches it and no other, and a list too short
-    raises DimensionError for the first variable, tree by tree, that such a
-    walk reaches before any failing node.
+    The list is built without compile.  A failure propagates through the
+    nodes: a node holds the failure of its left operand, else that of its
+    right operand, else its own ValueError, and a variable the box lacks
+    holds a DimensionError.  So each tree gets the first failure that
+    evaluation, operands left to right, meets in it, and run raises the
+    DimensionError of the first tree, tree by tree, that gets one.
     """
-    consts: list[tuple[float, float]] = []
-    ops: list[list] = []   # [rule, operand refs]; refs are ("c", k), ("t", k) or ("x", j)
-    table: dict = {}
-    walks = []
-    for e in trees:
-        walk: list = []
-        root = _intern(e, table, consts, ops, walk, set())
-        walks.append((walk, root))
-    width = max((ref[1] for ref in table.values() if ref[0] == "x"), default=0)
-    base = {"c": 0, "t": len(consts), "x": len(consts) + len(ops) - 1}
+    nodes, roots = _program(trees)
+    top = len(nodes)
+    slots = []  # where each node's value sits; x{j} sits at top + j - 1, after the nodes
+    head = []   # the values known before the box: the constants
+    ops = []    # (slot, rule, operand slot, operand slot or -1); a power's rule holds its exponent
+    for k, (kind, *rest) in enumerate(nodes):
+        slots.append(top + rest[0] - 1 if kind == "x" else k)
+        head.append((rest[0], rest[0]) if kind == "c" else None)
+        if kind == "t":
+            _, rule, *args = rest
+            ops.append((k, rule, slots[args[0]], slots[args[1]] if len(args) > 1 else -1))
+    width = max((rest[0] for kind, *rest in nodes if kind == "x"), default=0)
+    roots = [slots[r] for r in roots]
 
-    def slot(ref) -> int:
-        return base[ref[0]] + ref[1]
-
-    # (slot, rule, operand slot, operand slot or -1); a power's rule holds its exponent
-    nodes = [(len(consts) + k, rule, slot(args[0]), slot(args[1]) if len(args) > 1 else -1)
-             for k, (rule, *args) in enumerate(ops)]
-    roots = [slot(root) for _, root in walks]
-    # each tree's walk: its op nodes and the variables it reads, in first-reach order
-    steps = [[nodes[ref[1]] if ref[0] == "t" else (None, None, ref[1], -1)
-              for ref in walk if ref[0] != "c"] for walk, _ in walks]
-    head = consts + [None] * len(ops)
-
-    def careful(lo: Sequence[float], hi: Sequence[float]) -> list:
+    def propagate(lo: Sequence[float], hi: Sequence[float]) -> list:
         v = [*head, *zip(lo, hi)]
-        failed: dict[int, ValueError] = {}
-        out = []
-        for walk, root in zip(steps, roots):
-            for k, rule, a, b in walk:
-                if k is None:
-                    if a > len(lo) or a > len(hi):
-                        raise DimensionError(f"variable x{a} but the box has {len(lo)} axes")
-                elif v[k] is None:
-                    if k in failed:
-                        out.append(failed[k])
-                        break
-                    try:
-                        v[k] = rule(*v[a]) if b < 0 else rule(*v[a], *v[b])
-                    except ValueError as exc:
-                        out.append(exc)
-                        failed[k] = exc
-                        break
-            else:
-                out.append(v[root])
+        v += [DimensionError(f"variable x{j} but the box has {len(lo)} axes")
+              for j in range(len(v) - top + 1, width + 1)]
+        for k, rule, a, b in ops:
+            operands = [v[a]] if b < 0 else [v[a], v[b]]
+            failures = [x for x in operands if isinstance(x, Exception)]
+            if failures:
+                v[k] = failures[0]
+                continue
+            try:
+                v[k] = rule(*[t for x in operands for t in x])
+            except ValueError as exc:
+                v[k] = exc
+        out = [v[r] for r in roots]
+        for r in out:
+            if isinstance(r, DimensionError):
+                raise r
         return out
 
     def run(lo: Sequence[float], hi: Sequence[float]) -> list:
         if len(lo) < width or len(hi) < width:
-            return careful(lo, hi)
+            return propagate(lo, hi)
         v = [*head, *zip(lo, hi)]
         try:
-            for k, rule, a, b in nodes:
+            for k, rule, a, b in ops:
                 alo, ahi = v[a]
                 if b < 0:
                     v[k] = rule(alo, ahi)
@@ -701,54 +734,7 @@ def lower_intervals(trees: Sequence[Expr]) -> Callable[[Sequence[float], Sequenc
                     blo, bhi = v[b]
                     v[k] = rule(alo, ahi, blo, bhi)
         except ValueError:
-            return careful(lo, hi)
+            return propagate(lo, hi)
         return [v[r] for r in roots]
 
     return run
-
-
-def _intern(e: Expr, table: dict, consts: list, ops: list, walk: list, seen: set):
-    """The ref of e's node in lower_intervals, added with its operands where new;
-    walk gets each ref on its first reach in this tree, operands first."""
-    if isinstance(e, Const):
-        # 0.0 and -0.0 are equal but not interchangeable
-        key = ("c", e.value, math.copysign(1.0, e.value))
-        if key not in table:
-            table[key] = ("c", len(consts))
-            consts.append((e.value, e.value))
-    elif isinstance(e, Var):
-        key = ("x", operator.index(e.index))
-        table.setdefault(key, key)
-    else:
-        if isinstance(e, Power):
-            args = (_intern(e.base, table, consts, ops, walk, seen),)
-            key, rule = ("^", int(e.exponent), *args), _power_rule(int(e.exponent))
-        elif isinstance(e, Unary) and e.op in _INTERVAL_UNARY:
-            args = (_intern(e.arg, table, consts, ops, walk, seen),)
-            key, rule = (e.op, *args), _INTERVAL_UNARY[e.op]
-        elif isinstance(e, Binary) and e.op in _INTERVAL_BINARY:
-            left = _intern(e.left, table, consts, ops, walk, seen)
-            args = (left, _intern(e.right, table, consts, ops, walk, seen))
-            key, rule = (e.op, *args), _INTERVAL_BINARY[e.op]
-        else:
-            raise TypeError(f"not an expression node: {e!r}")
-        if key not in table:
-            table[key] = ("t", len(ops))
-            ops.append([rule, *args])
-    ref = table[key]
-    if ref not in seen:
-        seen.add(ref)
-        walk.append(ref)
-    return ref
-
-
-def _power_rule(n: int):
-    def power(lo: float, hi: float) -> tuple[float, float]:
-        return iv_power(lo, hi, n)
-    return power
-
-
-_INTERVAL_UNARY = {"neg": iv_neg, "sin": iv_sin, "cos": iv_cos, "exp": iv_exp, "abs": iv_abs,
-                   "sign": iv_sign, "step": iv_step, "jump": iv_jump}
-_INTERVAL_BINARY = {"add": iv_add, "sub": iv_sub, "mul": iv_mul, "div": iv_div, "min": iv_min,
-                    "max": iv_max}

@@ -63,8 +63,9 @@ def _step(v: float) -> float:
 # endpoints (lo, hi) of the image.  A rule whose image can leave the valid
 # intervals (overflow to [inf, inf], say) checks it and raises the ValueError
 # that Interval itself raises.  These rules are the package's one interval
-# arithmetic: the nodes of expr.lower_intervals call them, and decomp's
-# bisection hulls and intersects its brackets with iv_hull and iv_intersect.
+# arithmetic: each op node of the shared-node program of expr._program holds
+# its rule, which expr.lower_intervals calls, and decomp's bisection hulls
+# and intersects its brackets with iv_hull and iv_intersect.
 
 def iv_checked(lo: float, hi: float) -> tuple[float, float]:
     """(lo, hi) when they are the endpoints of an Interval; Interval's ValueError otherwise."""

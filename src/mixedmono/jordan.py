@@ -30,6 +30,9 @@ from .interval import Interval
 _SCAN_CELLS = 1024
 _LOCALIZE_WIDTH = 1e-12
 _PARTITION_START = 8
+# the ladder needs two small differences in a row, so it cannot stop before
+# its third sum: a smaller cell cap can only end in NonConvergenceError
+MIN_CELLS = 4 * _PARTITION_START
 DEFAULT_MAX_CELLS = 2 ** 20
 
 
@@ -248,11 +251,13 @@ def total_variation(f: ScalarFunction, sub: Interval, tol: float = 1e-8,
     detected at that resolution, until two successive estimates in a row
     differ by less than tol and, for a smooth f, the estimate is within tol
     of the floor from the scan of f'.  Raises NonConvergenceError at the
-    cell cap max_cells, and ValueError unless 0 < tol < inf.  The value is
-    the last running sum of the converged partition, which jordan_split
-    reads too.
+    cell cap max_cells, and ValueError unless 0 < tol < inf and max_cells
+    is at least MIN_CELLS.  The value is the last running sum of the
+    converged partition, which jordan_split reads too.
     """
     _check_tol(tol)
+    if max_cells < MIN_CELLS:
+        raise ValueError(f"max_cells must be at least {MIN_CELLS}, got {max_cells}")
     _check_sub(f, sub)
     if sub.width == 0.0:
         return 0.0
@@ -283,12 +288,13 @@ def jordan_split(f: ScalarFunction, tol: float = 1e-8,
     that is the prefix sum; elsewhere it is the variation of the partition
     refined by x.  So no second partition is built, f_plus is nondecreasing
     over the nodes, and f_plus(hi) is the total variation bit for bit.
-    max_cells caps the partition, as in total_variation.
+    max_cells caps the partition, and must be at least MIN_CELLS, as in
+    total_variation.
     """
     if f.domain is None:
         raise ValueError("a finite domain is required for a two-sided split")
     domain = f.domain
-    # validates tol and converges the partition that the split reads
+    # validates tol and max_cells, and converges the partition that the split reads
     total_variation(f, domain, tol, max_cells)
     part = _partition(f, domain.lo, domain.hi, tol, max_cells)
     memo: dict[float, float] = {}

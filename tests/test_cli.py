@@ -282,6 +282,16 @@ def test_reach_rejects_too_many_steps(capsys, cfg_file, t_end, step):
     assert err == "error: t_end/step must be at most 1000000\n"
 
 
+@pytest.mark.parametrize("text, n, m", [
+    ('[system]\ndim = 2\nf1 = "x1 + x2"\n\n[domain]\nx1 = [0, 1]\nx2 = [0, 1]\n', 2, 1),
+    ('[system]\ndim = 1\nf1 = "x1"\nf2 = "-x1"\n\n[domain]\nx1 = [0, 1]\n', 1, 2)])
+def test_reach_rejects_a_non_square_config(capsys, cfg_file, text, n, m):
+    # this ended in a DimensionError traceback from build_embedding
+    rc, out, err = _run(capsys, ["reach", cfg_file(text), "--t-end", "0.1"])
+    assert rc == 1 and out == ""
+    assert err == f"error: reach needs a square config: dim = {n} components, got {m}\n"
+
+
 # -- tv ----------------------------------------------------------------------------
 
 def test_tv_from_expression_flags(capsys):
@@ -339,11 +349,14 @@ def test_tv_source_validation(capsys, cfg_file):
 @pytest.mark.parametrize("flag, value, message", [
     ("--tol", "inf", "tol must be finite"),
     ("--tol", "nan", "tol must be finite"),
-    ("--max-cells", "-5", "--max-cells must be at least 1"),
-    ("--max-cells", "0", "--max-cells must be at least 1")])
+    ("--max-cells", "-5", "--max-cells must be at least 32"),
+    ("--max-cells", "0", "--max-cells must be at least 32"),
+    ("--max-cells", "8", "--max-cells must be at least 32"),
+    ("--max-cells", "31", "--max-cells must be at least 32")])
 def test_tv_rejects_bad_tolerance_and_cell_flags(capsys, flag, value, message):
     # --tol inf printed TV = 43.3137085 here (the TV is 2800), --tol nan ran
-    # to the cell cap and exited 4, and --max-cells -5 exited 4
+    # to the cell cap and exited 4, and --max-cells from -5 to 31 exited 4:
+    # the ladder cannot stop before 32 cells
     rc, out, err = _run(capsys, ["tv", "--expr", "sin(700*x1)", "--a", "0",
                                  "--b", "6.283185307179586", flag, value])
     assert rc == 1 and out == ""

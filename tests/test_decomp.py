@@ -201,6 +201,17 @@ def test_refine_degenerate_box_short_circuits():
     assert refine_bounds(f, box, 3) == refine_bounds(f, box, 0)
 
 
+@pytest.mark.parametrize("depth", [1, 3])
+def test_refine_splits_a_box_whose_midpoint_overflows(depth):
+    # lo + hi overflows here, and this raised "box axis 1 has no finite midpoint"
+    f = VectorField.from_strings(["x1", "-x1", "0.5*x1 - 1e307"], 1)
+    box = BoxDomain.from_bounds([(1e308, 1.7e308)])
+    bounds = refine_bounds(f, box, depth)
+    for corner in ([1e308], [1.7e308]):
+        for iv, v in zip(bounds, f.evaluate(corner)):
+            assert iv.lo <= v <= iv.hi
+
+
 def test_refine_validates_depth():
     f = VectorField.from_strings(["x1"], 1)
     with pytest.raises(ValueError):

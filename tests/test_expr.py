@@ -8,6 +8,7 @@ import pytest
 from mixedmono import (Binary, BoxDomain, Const, DimensionError, EvalError, Interval,
                        ParseError, Power, Unary, Var, differentiate, eval_interval,
                        evaluate, parse, to_string)
+from mixedmono import expr
 
 PI = math.pi
 
@@ -122,6 +123,20 @@ def test_evaluate_errors():
         evaluate(parse("x2", 2), [1.0])
     with pytest.raises(EvalError):
         evaluate(parse("x1", 1), [math.inf])
+
+
+def test_compiled_tree_computes_a_repeated_subtree_once(monkeypatch):
+    calls = []
+    real_sin = expr._HELPERS["_sin"]
+
+    def counting_sin(u):
+        calls.append(u)
+        return real_sin(u)
+
+    monkeypatch.setitem(expr._HELPERS, "_sin", counting_sin)
+    f = expr.compile_expr(parse("sin(x1)*sin(x1)", 1))
+    assert f([0.5]) == math.sin(0.5) * math.sin(0.5)
+    assert calls == [0.5]
 
 
 # -- differentiation --------------------------------------------------------------------
@@ -241,6 +256,24 @@ def test_eval_interval_slack():
 def test_eval_interval_dimension_check():
     with pytest.raises(DimensionError):
         eval_interval(parse("x2", 2), BoxDomain.from_bounds([(0, 1)]))
+
+
+def test_lower_intervals_failures_follow_each_tree():
+    def run(texts, lo, hi):
+        return expr.lower_intervals([parse(t, 3) for t in texts])(lo, hi)
+
+    # x1*x1 overflows to [inf, inf]: it fails every tree that reaches it and no other
+    trees = ["x1*x1", "x3", "x2 + x1*x1"]
+    out = run(trees, [1e200, 0.0, 5.0], [1e200, 1.0, 6.0])
+    assert [type(r) for r in out] == [ValueError, tuple, ValueError]
+    assert out[1] == (5.0, 6.0)
+    with pytest.raises(DimensionError, match="x3"):
+        run(trees, [1e200, 0.0], [1e200, 1.0])
+    # the first failure evaluation meets in a tree, operands left to right
+    with pytest.raises(DimensionError, match="x3"):
+        run(["x3 + x1*x1"], [1e200], [1e200])
+    (r,) = run(["x1*x1 + x3"], [1e200], [1e200])
+    assert isinstance(r, ValueError)
 
 
 def test_interval_soundness_random(rng):

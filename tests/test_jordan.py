@@ -12,7 +12,7 @@ import mixedmono
 from mixedmono import (DimensionError, Interval, NonConvergenceError, ScalarFunction,
                        bv_decomposition_eval, jordan_split, total_variation,
                        unbounded_decomposition, unbounded_split)
-from mixedmono.jordan import linspace
+from mixedmono.jordan import MIN_CELLS, linspace
 
 TWO_PI = 2.0 * math.pi
 
@@ -190,6 +190,18 @@ def test_tolerance_must_be_positive_and_finite(tol):
     for call in calls:
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             call()
+
+
+@pytest.mark.parametrize("max_cells", [-5, 0, 8, 31])
+def test_cell_cap_must_reach_the_third_sum(max_cells):
+    # the ladder cannot stop before 32 cells, so a smaller cap ran for
+    # nothing and raised NonConvergenceError even for a linear function
+    f = _on("x1", 0.0, 1.0)
+    for call in (lambda: total_variation(f, f.domain, 1e-8, max_cells),
+                 lambda: jordan_split(f, 1e-8, max_cells)):
+        with pytest.raises(ValueError, match=f"max_cells must be at least {MIN_CELLS}"):
+            call()
+    assert total_variation(f, f.domain, 1e-8, MIN_CELLS) == 1.0
 
 
 def test_variation_partition_cap_raises():
