@@ -20,12 +20,13 @@ Config layout::
     tol = 1e-08
     format = text
 
-All [options] keys are optional.  Exit codes: 0 success, 1 config or usage
-error, or stdout closed before the output was written (a broken pipe, as in
+All [options] keys are optional; the flag that overrides a key is checked
+exactly like it.  Exit codes: 0 success, 1 config or usage error, or stdout
+closed before the output was written (a broken pipe, as in
 `mixedmono tv ... | head -1`), 2 unbounded derivative enclosure, 3
 integration blowup, 4 non-convergence, 5 an evaluation error (division by
-zero, overflow, sin or cos of an infinity) at a point the command
-evaluates.
+zero, overflow, sin or cos of an infinity, a non-finite intermediate) at a
+point the command evaluates.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
+from functools import partial
 
 from .decomp import build_decomposition, format_decomposition, refine_bounds
 from .embed import build_embedding, integrate_embedding
@@ -48,10 +50,10 @@ from .jacbounds import VectorField, classify, jacobian_bounds
 from .jordan import (DEFAULT_MAX_CELLS, MIN_CELLS, ScalarFunction, jordan_split, linspace,
                      total_variation)
 
-_OPTION_KEYS = ("epsilon", "slack", "depth", "step", "t_end", "tol", "format")
-
 # reach keeps every RK4 step of the tube in memory: at most this many
 MAX_STEPS = 1_000_000
+# bound visits up to 2^depth boxes: about as many as reach's steps
+MAX_DEPTH = 20
 
 
 @dataclass
@@ -103,14 +105,38 @@ def _parse_interval_value(key: str, raw: str) -> Interval:
     return Interval(lo, hi)
 
 
-def _float_option(key: str, raw: str) -> float:
+# each [options] key: its Options field, how its text reads, and what its
+# value must satisfy; a float must also be finite.  A flag that overrides a
+# key is read and checked by the same entry.
+_OPTIONS = {
+    "epsilon": ("epsilon", float, lambda v: v >= 0.0, "must be nonnegative"),
+    "slack": ("slack", float, lambda v: v >= 0.0, "must be nonnegative"),
+    "depth": ("depth", int, lambda v: 0 <= v <= MAX_DEPTH, f"must be from 0 to {MAX_DEPTH}"),
+    "step": ("step", float, lambda v: v > 0.0, "must be positive"),
+    "t_end": ("t_end", float, lambda v: v >= 0.0, "must be nonnegative"),
+    "tol": ("tol", float, lambda v: v > 0.0, "must be positive"),
+    "format": ("fmt", _unquote, lambda v: v in ("text", "csv"), "must be text or csv"),
+}
+
+
+def _option(key: str, raw: str, where: str):
+    """The value of option key read from raw; ConfigError "{where}{problem}" where it fails."""
+    _, read, ok, need = _OPTIONS[key]
     try:
-        v = float(raw)
+        v = read(raw)
     except ValueError:
-        raise ConfigError(f"options.{key}: not a number: {raw!r}") from None
-    if not math.isfinite(v):
-        raise ConfigError(f"options.{key}: must be finite")
+        raise ConfigError(f"{where}must be {'an integer' if read is int else 'a number'}") from None
+    if read is float and not math.isfinite(v):
+        raise ConfigError(f"{where}must be finite")
+    if not ok(v):
+        raise ConfigError(f"{where}{need}")
     return v
+
+
+def _merged(options: Options, args) -> Options:
+    """options overlaid with the flags of args that were given."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(Options)}
+    return replace(options, **{k: v for k, v in given.items() if v is not None})
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -165,33 +191,9 @@ def parse_config_text(text: str) -> RunConfig:
     opts = Options()
     if cp.has_section("options"):
         for key, raw in cp.items("options"):
-            if key not in _OPTION_KEYS:
+            if key not in _OPTIONS:
                 raise ConfigError(f"unexpected [options] key: {key}")
-            if key == "format":
-                fmt = _unquote(raw)
-                if fmt not in ("text", "csv"):
-                    raise ConfigError(f"options.format must be text or csv, got {fmt!r}")
-                opts.fmt = fmt
-            elif key == "depth":
-                try:
-                    opts.depth = int(raw)
-                except ValueError:
-                    raise ConfigError("options.depth must be an integer") from None
-                if opts.depth < 0:
-                    raise ConfigError("options.depth must be nonnegative")
-            else:
-                v = _float_option(key, raw)
-                if key == "epsilon" and v < 0.0:
-                    raise ConfigError("options.epsilon must be nonnegative")
-                if key == "slack" and v < 0.0:
-                    raise ConfigError("options.slack must be nonnegative")
-                if key == "step" and v <= 0.0:
-                    raise ConfigError("options.step must be positive")
-                if key == "t_end" and v < 0.0:
-                    raise ConfigError("options.t_end must be nonnegative")
-                if key == "tol" and v <= 0.0:
-                    raise ConfigError("options.tol must be positive")
-                setattr(opts, key, v)
+            setattr(opts, _OPTIONS[key][0], _option(key, raw, f"options.{key}: "))
 
     return RunConfig(dim, tuple(exprs), vf, box, opts)
 
@@ -210,32 +212,24 @@ def parse_config(path: str) -> RunConfig:
 
 def cmd_decompose(args) -> int:
     cfg = parse_config(args.config)
-    fmt = args.format or cfg.options.fmt
-    jb = jacobian_bounds(cfg.field, cfg.domain, slack=cfg.options.slack)
-    spec = build_decomposition(jb, cfg.options.epsilon)
+    opts = _merged(cfg.options, args)
+    jb = jacobian_bounds(cfg.field, cfg.domain, slack=opts.slack)
+    spec = build_decomposition(jb, opts.epsilon)
     g_lines = format_decomposition(spec, cfg.field)
-    out = []
-    if fmt == "csv":
-        out.append("i,j,a,b,case,z,alpha,beta,g")
-        for i in range(spec.m):
-            g_expr = g_lines[i].split(" = ", 1)[1]
-            for j in range(spec.n):
-                iv = jb.entry(i, j)
-                case = classify(iv.lo, iv.hi)
-                out.append(",".join([
-                    str(i + 1), str(j + 1), _fmt(iv.lo), _fmt(iv.hi), case.value,
-                    spec.selector(i, j), _fmt(spec.alpha[i][j]), _fmt(spec.beta[i][j]),
-                    f'"{g_expr}"',
-                ]))
-    else:
-        for i in range(spec.m):
-            for j in range(spec.n):
-                iv = jb.entry(i, j)
-                case = classify(iv.lo, iv.hi)
-                out.append(
-                    f"f{i + 1}/x{j + 1}: a={_fmt(iv.lo)} b={_fmt(iv.hi)} "
-                    f"case={case.value} z={spec.selector(i, j)} "
-                    f"alpha={_fmt(spec.alpha[i][j])} beta={_fmt(spec.beta[i][j])}")
+    csv = opts.fmt == "csv"
+    out = ["i,j,a,b,case,z,alpha,beta,g"] if csv else []
+    for i in range(spec.m):
+        g_expr = g_lines[i].split(" = ", 1)[1]
+        for j in range(spec.n):
+            iv = jb.entry(i, j)
+            a, b, case = _fmt(iv.lo), _fmt(iv.hi), classify(iv.lo, iv.hi).value
+            z, alpha, beta = spec.selector(i, j), _fmt(spec.alpha[i][j]), _fmt(spec.beta[i][j])
+            if csv:
+                out.append(f'{i + 1},{j + 1},{a},{b},{case},{z},{alpha},{beta},"{g_expr}"')
+            else:
+                out.append(f"f{i + 1}/x{j + 1}: a={a} b={b} case={case} z={z} "
+                           f"alpha={alpha} beta={beta}")
+        if not csv:
             out.append(g_lines[i])
     print("\n".join(out))
     return 0
@@ -257,30 +251,22 @@ def _grid_minmax(field: VectorField, box: BoxDomain, total: int = 10000):
 
 def cmd_bound(args) -> int:
     cfg = parse_config(args.config)
-    fmt = args.format or cfg.options.fmt
-    depth = cfg.options.depth if args.depth is None else args.depth
-    if depth < 0:
-        raise ConfigError("depth must be nonnegative")
-    bounds = refine_bounds(cfg.field, cfg.domain, depth,
-                           epsilon=cfg.options.epsilon, slack=cfg.options.slack)
+    opts = _merged(cfg.options, args)
+    bounds = refine_bounds(cfg.field, cfg.domain, opts.depth,
+                           epsilon=opts.epsilon, slack=opts.slack)
     check = _grid_minmax(cfg.field, cfg.domain) if args.check else None
-    out = []
-    if fmt == "csv":
-        header = "i,lo,hi" + (",grid_lo,grid_hi,enclosed" if check else "")
-        out.append(header)
-        for i, iv in enumerate(bounds):
-            row = f"{i + 1},{_fmt(iv.lo)},{_fmt(iv.hi)}"
-            if check:
-                ok = iv.lo <= check[0][i] and check[1][i] <= iv.hi
-                row += f",{_fmt(check[0][i])},{_fmt(check[1][i])},{'yes' if ok else 'no'}"
-            out.append(row)
-    else:
-        for i, iv in enumerate(bounds):
-            out.append(f"f{i + 1} ∈ [{_fmt(iv.lo)}, {_fmt(iv.hi)}]")
-            if check:
-                ok = iv.lo <= check[0][i] and check[1][i] <= iv.hi
-                out.append(f"check f{i + 1}: grid range [{_fmt(check[0][i])}, "
-                           f"{_fmt(check[1][i])}] enclosed={'yes' if ok else 'no'}")
+    csv = opts.fmt == "csv"
+    out = ["i,lo,hi" + (",grid_lo,grid_hi,enclosed" if check else "")] if csv else []
+    for i, iv in enumerate(bounds):
+        lo, hi = _fmt(iv.lo), _fmt(iv.hi)
+        out.append(f"{i + 1},{lo},{hi}" if csv else f"f{i + 1} ∈ [{lo}, {hi}]")
+        if check:
+            grid_lo, grid_hi = _fmt(check[0][i]), _fmt(check[1][i])
+            ok = "yes" if iv.lo <= check[0][i] and check[1][i] <= iv.hi else "no"
+            if csv:
+                out[-1] += f",{grid_lo},{grid_hi},{ok}"
+            else:
+                out.append(f"check f{i + 1}: grid range [{grid_lo}, {grid_hi}] enclosed={ok}")
     print("\n".join(out))
     return 0
 
@@ -303,18 +289,8 @@ def cmd_reach(args) -> int:
     if cfg.field.m != cfg.dim:
         raise ConfigError(f"reach needs a square config: dim = {cfg.dim} components, "
                           f"got {cfg.field.m}")
-    t_end = cfg.options.t_end if args.t_end is None else args.t_end
-    step = cfg.options.step if args.step is None else args.step
-    if step <= 0.0:
-        raise ConfigError("step must be positive")
-    if t_end < 0.0:
-        raise ConfigError("t_end must be nonnegative")
-    # config values are checked by _float_option; the flags are checked here
-    if not math.isfinite(step):
-        raise ConfigError("step must be finite")
-    if not math.isfinite(t_end):
-        raise ConfigError("t_end must be finite")
-    if not t_end / step <= MAX_STEPS:
+    opts = _merged(cfg.options, args)
+    if not opts.t_end / opts.step <= MAX_STEPS:
         raise ConfigError(f"t_end/step must be at most {MAX_STEPS}")
     n = cfg.dim
     x_lo = cfg.domain.lower_corner() if args.x0_lo is None else _parse_vector("--x0-lo", args.x0_lo, n)
@@ -322,10 +298,10 @@ def cmd_reach(args) -> int:
     if any(a > b for a, b in zip(x_lo, x_hi)):
         raise ConfigError("initial box needs x0-lo <= x0-hi componentwise")
 
-    jb = jacobian_bounds(cfg.field, cfg.domain, slack=cfg.options.slack)
-    spec = build_decomposition(jb, cfg.options.epsilon)
+    jb = jacobian_bounds(cfg.field, cfg.domain, slack=opts.slack)
+    spec = build_decomposition(jb, opts.epsilon)
     system = build_embedding(cfg.field, spec)
-    tube = integrate_embedding(system, x_lo, x_hi, t_end, step=step)
+    tube = integrate_embedding(system, x_lo, x_hi, opts.t_end, step=opts.step)
 
     header = "t," + ",".join(f"lower_{j + 1}" for j in range(n)) \
         + "," + ",".join(f"upper_{j + 1}" for j in range(n))
@@ -357,8 +333,7 @@ def cmd_tv(args) -> int:
             raise ConfigError("--a and --b must be finite")
         if args.a > args.b:
             raise ConfigError(f"--a {args.a} exceeds --b {args.b}")
-        fmt = args.format or "text"
-        tol = 1e-8 if args.tol is None else args.tol
+        opts = _merged(Options(), args)
         try:
             f = ScalarFunction.from_string(_unquote(args.expr), args.a, args.b)
         except ToolkitError as exc:
@@ -369,27 +344,21 @@ def cmd_tv(args) -> int:
         cfg = parse_config(args.config)
         if cfg.dim != 1 or cfg.field.m != 1:
             raise ConfigError("tv needs a scalar config: dim = 1 and a single f1")
-        fmt = args.format or cfg.options.fmt
-        tol = cfg.options.tol if args.tol is None else args.tol
+        opts = _merged(cfg.options, args)
         f = ScalarFunction(cfg.field.components[0], cfg.domain[0])
-    if tol <= 0.0:
-        raise ConfigError("tol must be positive")
-    # config values are checked by _float_option; the flags are checked here
-    if not math.isfinite(tol):
-        raise ConfigError("tol must be finite")
     if args.max_cells < MIN_CELLS:
         raise ConfigError(f"--max-cells must be at least {MIN_CELLS}")
     if args.grid < 2:
         raise ConfigError("--grid needs at least 2 points")
     domain = f.domain
 
-    tv = total_variation(f, domain, tol, max_cells=args.max_cells)
-    split = jordan_split(f, tol, max_cells=args.max_cells)
+    tv = total_variation(f, domain, opts.tol, max_cells=args.max_cells)
+    split = jordan_split(f, opts.tol, max_cells=args.max_cells)
     g_lo_hi = split.fplus(domain.lo) + split.fminus(domain.hi)
     g_hi_lo = split.fplus(domain.hi) + split.fminus(domain.lo)
     xs = linspace(domain.lo, domain.hi, args.grid - 1)
     out = []
-    if fmt == "csv":
+    if opts.fmt == "csv":
         out.append("x,fplus,fminus,tv,lower,upper")
         for x in xs:
             out.append(",".join([_fmt(x), _fmt(split.fplus(x)), _fmt(split.fminus(x)),
@@ -415,6 +384,12 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _add_option(parser: argparse.ArgumentParser, flag: str, key: str) -> None:
+    """flag, which overrides [options] key, read and checked by its entry of _OPTIONS."""
+    parser.add_argument(flag, dest=_OPTIONS[key][0], metavar=key.upper(),
+                        type=partial(_option, key, where=f"{key} "))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = _ArgumentParser(prog="mixedmono",
                         description="decomposition functions, interval bounds, reach tubes")
@@ -422,21 +397,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("decompose", parents=[], help="classify and print the decomposition")
     d.add_argument("config")
-    d.add_argument("--format", choices=("text", "csv"), default=None)
+    _add_option(d, "--format", "format")
     d.set_defaults(func=cmd_decompose)
 
     b = sub.add_parser("bound", help="range bounds over the domain box")
     b.add_argument("config")
-    b.add_argument("--depth", type=int, default=None)
+    _add_option(b, "--depth", "depth")
     b.add_argument("--check", action="store_true",
                    help="compare against a dense evaluation grid")
-    b.add_argument("--format", choices=("text", "csv"), default=None)
+    _add_option(b, "--format", "format")
     b.set_defaults(func=cmd_bound)
 
     r = sub.add_parser("reach", help="reach tube CSV from the embedding system")
     r.add_argument("config")
-    r.add_argument("--t-end", dest="t_end", type=float, default=None)
-    r.add_argument("--step", type=float, default=None)
+    _add_option(r, "--t-end", "t_end")
+    _add_option(r, "--step", "step")
     r.add_argument("--x0-lo", dest="x0_lo", default=None,
                    help="comma-separated; defaults to the domain's lower corner")
     r.add_argument("--x0-hi", dest="x0_hi", default=None,
@@ -449,13 +424,17 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--expr", default=None, help="expression in x1 (alternative to a config)")
     t.add_argument("--a", type=float, default=None, help="left endpoint for --expr")
     t.add_argument("--b", type=float, default=None, help="right endpoint for --expr")
-    t.add_argument("--tol", type=float, default=None)
+    _add_option(t, "--tol", "tol")
     t.add_argument("--grid", type=int, default=11)
     t.add_argument("--max-cells", dest="max_cells", type=int, default=DEFAULT_MAX_CELLS)
-    t.add_argument("--format", choices=("text", "csv"), default=None)
+    _add_option(t, "--format", "format")
     t.set_defaults(func=cmd_tv)
     return p
 
+
+# the exit code of each error that main reports
+_EXIT_CODES = {ConfigError: 1, UnboundedDerivativeError: 2, BlowupError: 3,
+               NonConvergenceError: 4, EvalError: 5}
 
 # built once, at import: main parses every argv with it, so only callers
 # that run main more than once in a process (tests, perfbench) save the build
@@ -479,21 +458,9 @@ def main(argv=None) -> int:
         # at exit cannot fail again with a traceback
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except ConfigError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except UnboundedDerivativeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BlowupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except EvalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

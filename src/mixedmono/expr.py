@@ -323,6 +323,10 @@ def is_smooth(e: Expr) -> bool:
 # -- evaluation ----------------------------------------------------------------
 
 _isfinite = math.isfinite
+# the helpers of sign, step, jump, min, max, exp, div (its divisor) and a power
+# with exponent <= 0, which can map an infinity or a NaN to a finite value,
+# raise this where such an operand is not finite, as checked does for the value
+_NON_FINITE = "non-finite value during evaluation"
 
 
 def evaluate(e: Expr, point: Sequence[float]) -> float:
@@ -342,8 +346,9 @@ def compile_expr(e: Expr) -> Callable[[Sequence[float]], float]:
     Generates and compiles e once, by lower_factory bound to the slots
     0 .. n-1, n the highest variable index of e.  The evaluator raises
     EvalError for a non-finite point entry, division by zero, zero to a
-    negative power, power or exp overflow, sin or cos of an infinity and a
-    non-finite value, and DimensionError when the point has too few entries.
+    negative power, power or exp overflow, sin or cos of an infinity, and a
+    non-finite value, final or one that a later node would hide, and
+    DimensionError when the point has too few entries.
     """
     return checked(lower_factory(e)(range(max(variables(e), default=0))))
 
@@ -356,7 +361,7 @@ def checked(run: Callable[[Sequence[float]], float]) -> Callable[[Sequence[float
             raise EvalError("point entries must be finite")
         v = run(p)
         if not _isfinite(v):
-            raise EvalError("non-finite value during evaluation")
+            raise EvalError(_NON_FINITE)
         return v
 
     return compiled
@@ -365,20 +370,19 @@ def checked(run: Callable[[Sequence[float]], float]) -> Callable[[Sequence[float
 def lower_factory(e: Expr) -> Callable[[Sequence[int]], Callable[[Sequence[float]], float]]:
     """Compile e once into straight-line Python; factory(slots) binds it to a slot tuple.
 
-    The bound function computes e at p, without the checks of compile_expr:
-    x{j} reads p[slots[j - 1]], so that one list can feed a tree whose
-    variables are picked from any of its entries, and one compile serves
-    every slot tuple.
+    The bound function computes e at p, without the checks of compile_expr
+    on p and on the final value: x{j} reads p[slots[j - 1]], so that one
+    list can feed a tree whose variables are picked from any of its
+    entries, and one compile serves every slot tuple.
 
     The generated function runs the program of _program: one assignment
     per node, in the order evaluation first reaches it, so its source nests
     no deeper for a deeper tree, a subtree that occurs twice is computed
     once, and the first failing node raises.  Each variable is read from p
     once, where evaluation first reaches it, and a point too short for it
-    raises DimensionError there.  div, power, exp, sin and cos call helpers
-    that raise EvalError, sign, step and jump call helpers too, and
-    + - * neg abs min max are inlined.  The source holds only node kinds,
-    integers and the repr of finite floats.
+    raises DimensionError there.  + - * neg abs are inlined, and the other
+    ops call helpers that raise EvalError.  The source holds only node
+    kinds, integers and the repr of finite floats.
     """
     nodes, (root,) = _program((e,))
     names: list[str] = []  # the name or literal holding each node
@@ -469,8 +473,8 @@ _UNARY = {"neg": ("-{}", iv_neg), "abs": ("abs({})", iv_abs), "sin": ("_sin({})"
           "cos": ("_cos({})", iv_cos), "exp": ("_exp({})", iv_exp), "sign": ("_sign({})", iv_sign),
           "step": ("_step({})", iv_step), "jump": ("_jump({})", iv_jump)}
 _BINARY = {"add": ("{} + {}", iv_add), "sub": ("{} - {}", iv_sub), "mul": ("{} * {}", iv_mul),
-           "div": ("_div({}, {})", iv_div), "min": ("min({}, {})", iv_min),
-           "max": ("max({}, {})", iv_max)}
+           "div": ("_div({}, {})", iv_div), "min": ("_min({}, {})", iv_min),
+           "max": ("_max({}, {})", iv_max)}
 
 
 def _short(p: Sequence[float], reads: tuple[tuple[int, int], ...]) -> DimensionError:
@@ -484,10 +488,14 @@ def _short(p: Sequence[float], reads: tuple[tuple[int, int], ...]) -> DimensionE
 def _div(x: float, y: float) -> float:
     if y == 0.0:
         raise EvalError("division by zero")
+    if not _isfinite(y):
+        raise EvalError(_NON_FINITE)
     return x / y
 
 
 def _pow(x: float, n: int) -> float:
+    if n <= 0 and not _isfinite(x):
+        raise EvalError(_NON_FINITE)
     try:
         return x ** n
     except ZeroDivisionError:
@@ -497,6 +505,8 @@ def _pow(x: float, n: int) -> float:
 
 
 def _exp(u: float) -> float:
+    if not _isfinite(u):
+        raise EvalError(_NON_FINITE)
     try:
         return math.exp(u)
     except OverflowError:
@@ -518,19 +528,38 @@ def _cos(u: float) -> float:
 
 
 def _sign(u: float) -> float:
+    if not _isfinite(u):
+        raise EvalError(_NON_FINITE)
     return 0.0 if u == 0.0 else math.copysign(1.0, u)
 
 
 def _step(u: float) -> float:
+    if not _isfinite(u):
+        raise EvalError(_NON_FINITE)
     return 1.0 if u > 0.0 else (0.5 if u == 0.0 else 0.0)
 
 
 def _jump(u: float) -> float:
+    if not _isfinite(u):
+        raise EvalError(_NON_FINITE)
     return 0.0
 
 
+def _min(u: float, v: float) -> float:
+    if not (_isfinite(u) and _isfinite(v)):
+        raise EvalError(_NON_FINITE)
+    return v if v < u else u  # the builtin's tie rule: the left of equal operands
+
+
+def _max(u: float, v: float) -> float:
+    if not (_isfinite(u) and _isfinite(v)):
+        raise EvalError(_NON_FINITE)
+    return v if v > u else u
+
+
 _HELPERS = {"_short": _short, "_div": _div, "_pow": _pow, "_exp": _exp, "_sin": _sin,
-            "_cos": _cos, "_sign": _sign, "_step": _step, "_jump": _jump}
+            "_cos": _cos, "_sign": _sign, "_step": _step, "_jump": _jump, "_min": _min,
+            "_max": _max}
 
 
 # -- differentiation -------------------------------------------------------------
@@ -579,6 +608,11 @@ def _pow(a: Expr, n: int) -> Expr:
     return Power(a, n)
 
 
+def _zero_crossing(v: Expr) -> Expr:
+    """jump(v) - jump(v): 0 at every point, the whole line where v can vanish."""
+    return Binary("sub", Unary("jump", v), Unary("jump", v))
+
+
 def differentiate(e: Expr, j: int) -> Expr:
     """Symbolic partial derivative with respect to x{j} (1-based).
 
@@ -589,6 +623,8 @@ def differentiate(e: Expr, j: int) -> Expr:
     a box where u can vanish, since a nondecreasing jump has a nonnegative
     derivative of unknown size.  That of jump itself has no sign, so
     d jump(u) = (jump(u) - jump(u)) u', enclosed by the whole line there.
+    d(u/v) and d(v^n), n < 0, subtract jump(v) - jump(v) too: across a pole
+    no enclosure holds, and subtracting 0 keeps the sign of a zero.
     """
     if j < 1:
         raise DimensionError(f"variable index {j} outside 1..n")
@@ -598,7 +634,8 @@ def differentiate(e: Expr, j: int) -> Expr:
         return _ONE if e.index == j else _ZERO
     if isinstance(e, Power):
         du = differentiate(e.base, j)
-        return _mul(_mul(Const(float(e.exponent)), _pow(e.base, e.exponent - 1)), du)
+        d = _mul(_mul(Const(float(e.exponent)), _pow(e.base, e.exponent - 1)), du)
+        return Binary("sub", d, _zero_crossing(e.base)) if e.exponent < 0 else d
     if isinstance(e, Unary):
         du = differentiate(e.arg, j)
         if e.op == "neg":
@@ -614,7 +651,7 @@ def differentiate(e: Expr, j: int) -> Expr:
         if e.op in ("sign", "step"):
             return _mul(Unary("jump", e.arg), du)
         if e.op == "jump":
-            return _mul(Binary("sub", Unary("jump", e.arg), Unary("jump", e.arg)), du)
+            return _mul(_zero_crossing(e.arg), du)
     if isinstance(e, Binary):
         if e.op in ("add", "sub"):
             da = differentiate(e.left, j)
@@ -628,7 +665,7 @@ def differentiate(e: Expr, j: int) -> Expr:
             da = differentiate(e.left, j)
             db = differentiate(e.right, j)
             num = _sub(_mul(da, e.right), _mul(e.left, db))
-            return Binary("div", num, _pow(e.right, 2))
+            return Binary("sub", Binary("div", num, _pow(e.right, 2)), _zero_crossing(e.right))
         if e.op in ("min", "max"):
             da = differentiate(e.left, j)
             db = differentiate(e.right, j)
@@ -680,12 +717,13 @@ def lower_intervals(trees: Sequence[Expr]) -> Callable[[Sequence[float], Sequenc
 
     Structurally equal subtrees, within a tree or across trees, are one
     node, enclosed once per call; constants and variables cost nothing.
-    The list is built without compile.  A failure propagates through the
-    nodes: a node holds the failure of its left operand, else that of its
-    right operand, else its own ValueError, and a variable the box lacks
-    holds a DimensionError.  So each tree gets the first failure that
-    evaluation, operands left to right, meets in it, and run raises the
-    DimensionError of the first tree, tree by tree, that gets one.
+    The list is built without compile, and run is one loop over its ops.
+    A variable the box lacks holds its DimensionError before the loop, and
+    a failure propagates through the nodes: a node holds the failure of its
+    left operand, else that of its right operand, else the ValueError its
+    rule raises.  So each tree gets the first failure that evaluation,
+    operands left to right, meets in it, and run raises the DimensionError
+    of the first tree, tree by tree, that gets one.
     """
     nodes, roots = _program(trees)
     top = len(nodes)
@@ -701,18 +739,20 @@ def lower_intervals(trees: Sequence[Expr]) -> Callable[[Sequence[float], Sequenc
     width = max((rest[0] for kind, *rest in nodes if kind == "x"), default=0)
     roots = [slots[r] for r in roots]
 
-    def propagate(lo: Sequence[float], hi: Sequence[float]) -> list:
+    def run(lo: Sequence[float], hi: Sequence[float]) -> list:
         v = [*head, *zip(lo, hi)]
         v += [DimensionError(f"variable x{j} but the box has {len(lo)} axes")
               for j in range(len(v) - top + 1, width + 1)]
         for k, rule, a, b in ops:
-            operands = [v[a]] if b < 0 else [v[a], v[b]]
-            failures = [x for x in operands if isinstance(x, Exception)]
-            if failures:
-                v[k] = failures[0]
-                continue
             try:
-                v[k] = rule(*[t for x in operands for t in x])
+                alo, ahi = v[a]
+                if b < 0:
+                    v[k] = rule(alo, ahi)
+                else:
+                    blo, bhi = v[b]
+                    v[k] = rule(alo, ahi, blo, bhi)
+            except TypeError:  # an operand holds a failure, which is no pair
+                v[k] = v[a] if isinstance(v[a], Exception) else v[b]
             except ValueError as exc:
                 v[k] = exc
         out = [v[r] for r in roots]
@@ -720,21 +760,5 @@ def lower_intervals(trees: Sequence[Expr]) -> Callable[[Sequence[float], Sequenc
             if isinstance(r, DimensionError):
                 raise r
         return out
-
-    def run(lo: Sequence[float], hi: Sequence[float]) -> list:
-        if len(lo) < width or len(hi) < width:
-            return propagate(lo, hi)
-        v = [*head, *zip(lo, hi)]
-        try:
-            for k, rule, a, b in ops:
-                alo, ahi = v[a]
-                if b < 0:
-                    v[k] = rule(alo, ahi)
-                else:
-                    blo, bhi = v[b]
-                    v[k] = rule(alo, ahi, blo, bhi)
-        except ValueError:
-            return propagate(lo, hi)
-        return [v[r] for r in roots]
 
     return run

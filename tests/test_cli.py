@@ -46,6 +46,17 @@ x1 = [0, 1]
 x2 = [0, 1]
 """
 
+UNBOUNDED = """\
+[system]
+dim = 2
+f1 = "x1/x2"
+f2 = "x2"
+
+[domain]
+x1 = [-1, 1]
+x2 = [-1, 1]
+"""
+
 
 @pytest.fixture
 def cfg_file(tmp_path):
@@ -363,10 +374,37 @@ def test_tv_rejects_bad_tolerance_and_cell_flags(capsys, flag, value, message):
     assert err == f"error: {message}\n"
 
 
+def test_tv_exits_5_where_a_later_node_hides_an_overflow(capsys):
+    # f is 0 everywhere, but inf - inf = nan made sign print TV = 1 and exit 0
+    rc, out, err = _run(capsys, ["tv", "--expr", "sign(x1*1e200*1e200 - x1*1e200*1e200)",
+                                 "--a", "0", "--b", "1"])
+    assert (rc, out, err) == (5, "", "error: non-finite value during evaluation\n")
+
+
 def test_tv_rejects_a_non_finite_config_tolerance(capsys, cfg_file):
     rc, out, err = _run(capsys, ["tv", cfg_file(SQUARE + "tol = nan\n")])
     assert rc == 1 and out == ""
     assert err == "error: options.tol: must be finite\n"
+
+
+# -- option checks -------------------------------------------------------------------
+
+@pytest.mark.parametrize("key, value", [
+    ("depth", "-1"), ("depth", "21"), ("depth", "x"), ("step", "0"), ("step", "nan"),
+    ("t_end", "-1"), ("t_end", "inf"), ("tol", "0"), ("tol", "inf")])
+def test_a_flag_rejects_what_its_config_key_rejects(capsys, cfg_file, key, value):
+    # the flags were checked apart from their keys; at --depth 21 this config
+    # exited 2, the depth unchecked
+    with pytest.raises(ConfigError) as config_side:
+        parse_config_text(SQUARE + f"{key} = {value}\n")
+    prefix = f"options.{key}: "
+    assert str(config_side.value).startswith(prefix)
+    command, text = {"depth": ("bound", UNBOUNDED), "step": ("reach", NEGATION),
+                     "t_end": ("reach", NEGATION), "tol": ("tv", SQUARE)}[key]
+    flag = "--" + key.replace("_", "-")
+    rc, out, err = _run(capsys, [command, cfg_file(text), flag, value])
+    assert (rc, out) == (1, "")
+    assert err == f"error: {key} {str(config_side.value)[len(prefix):]}\n"
 
 
 # -- exit codes ----------------------------------------------------------------------
@@ -386,20 +424,20 @@ def test_exit_code_for_usage_errors(capsys, cfg_file):
 
 
 def test_exit_code_for_unbounded_derivative(capsys, cfg_file):
-    text = """\
-[system]
-dim = 2
-f1 = "x1/x2"
-f2 = "x2"
-
-[domain]
-x1 = [-1, 1]
-x2 = [-1, 1]
-"""
-    rc, _, err = _run(capsys, ["decompose", cfg_file(text)])
+    rc, _, err = _run(capsys, ["decompose", cfg_file(UNBOUNDED)])
     assert rc == 2 and "f1/x1" in err
-    rc, _, err = _run(capsys, ["bound", cfg_file(text)])
+    rc, _, err = _run(capsys, ["bound", cfg_file(UNBOUNDED)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("command", [["bound", "--depth", "0"], ["bound", "--depth", "3"],
+                                     ["decompose"], ["reach", "--t-end", "0.1"]])
+@pytest.mark.parametrize("expr", ["1/(x1 - 0.3) + 10*x1", "1/x1 + 10*x1", "x1^-3 + 10*x1"])
+def test_exit_code_for_a_divisor_that_can_vanish(capsys, cfg_file, command, expr):
+    # for the first, f(0.31) = 103.1, but bound printed f1 ∈ [-7.38799662,
+    # 8.04733728] at depth 0 and ended in a ValueError traceback at depth 3
+    rc, out, err = _run(capsys, command[:1] + [cfg_file(_scalar(expr))] + command[1:])
+    assert (rc, out, err) == (2, "", "error: derivative enclosure for f1/x1 is (-inf, inf)\n")
 
 
 @pytest.mark.parametrize("expr", ["step(x1) - step(x1-0.5)", "sign(x1)*sign(x1-0.5)"])

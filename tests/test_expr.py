@@ -139,6 +139,19 @@ def test_compiled_tree_computes_a_repeated_subtree_once(monkeypatch):
     assert calls == [0.5]
 
 
+@pytest.mark.parametrize("text", [
+    "sign(x1*1e200*1e200 - x1*1e200*1e200)", "step(x1*1e200*1e200)", "jump(x1*1e200*1e200)",
+    "min(1, x1*1e200*1e200 - x1*1e200*1e200)", "max(-x1*1e200*1e200, 1)",
+    "1/(x1*1e200*1e200)", "(x1*1e200*1e200)^-1", "(x1*1e200*1e200)^0",
+    "exp(-x1*1e200*1e200)"])
+def test_compiled_tree_raises_where_a_later_node_hides_a_non_finite_value(text):
+    # x1*1e200*1e200 overflows to inf at x1 = 1; each outer node used to map
+    # it, or inf - inf, to a finite value, which the final check let through
+    f = expr.compile_expr(parse(text, 1))
+    with pytest.raises(EvalError, match="non-finite value"):
+        f([1.0])
+
+
 # -- differentiation --------------------------------------------------------------------
 
 def test_differentiate_examples():
@@ -187,6 +200,26 @@ def test_jump_derivatives_of_sign_and_step():
     assert evaluate(dd, [1.0]) == 0.0
     assert eval_interval(dd, crossing) == Interval(-math.inf, math.inf)
     assert eval_interval(dd, BoxDomain.from_bounds([(2, 3)])) == Interval(0.0, 0.0)
+
+
+@pytest.mark.parametrize("text", ["1/(x1 - 0.3) + 10*x1", "(x1 - 0.3)^-2", "x2/(x1 - 0.3)",
+                                  "(x1 - 0.3)^-1*x2"])
+def test_derivative_of_a_pole_is_the_whole_line_where_the_divisor_can_vanish(text):
+    # the half-line enclosing d(1/v) holds on each side of the pole but not
+    # across it: 1/(x1 - 0.3) + 10*x1 over [-1, 1] was bracketed without its pole
+    e = parse(text, 2)
+    crossing = BoxDomain.from_bounds([(-1, 1), (1, 2)])
+    clear = BoxDomain.from_bounds([(0.5, 1), (1, 2)])
+    for j in (1, 2):
+        d = differentiate(e, j)
+        assert parse(to_string(d), 2) == d
+        assert eval_interval(d, crossing) == Interval(-math.inf, math.inf)
+        iv = eval_interval(d, clear)
+        assert math.isfinite(iv.lo) and math.isfinite(iv.hi)
+    d, h = differentiate(e, 1), 1e-6
+    for x1 in (0.5, 0.75, 1.0):
+        fd = (evaluate(e, [x1 + h, 1.5]) - evaluate(e, [x1 - h, 1.5])) / (2 * h)
+        assert evaluate(d, [x1, 1.5]) == pytest.approx(fd, rel=1e-5)
 
 
 def _random_smooth(rng, n, depth):

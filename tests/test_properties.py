@@ -47,6 +47,12 @@ _TREES = {n: _trees(n) for n in range(1, N + 1)}
 
 # -- reference fold --------------------------------------------------------------
 
+def _finite(*values):
+    """Raise where a value that a later node could map to a finite one is not finite."""
+    if not all(map(math.isfinite, values)):
+        raise EvalError("non-finite operand")
+
+
 def _fold(e, p):
     if isinstance(e, Const):
         return e.value
@@ -56,12 +62,16 @@ def _fold(e, p):
         return p[e.index - 1]
     if isinstance(e, Power):
         b = _fold(e.base, p)
+        if e.exponent <= 0:
+            _finite(b)
         try:
             return b ** e.exponent
         except (ZeroDivisionError, OverflowError):
             raise EvalError("power") from None
     if isinstance(e, Unary):
         u = _fold(e.arg, p)
+        if e.op in ("exp", "sign", "step"):
+            _finite(u)
         if e.op == "exp":
             try:
                 return math.exp(u)
@@ -80,7 +90,10 @@ def _fold(e, p):
     if e.op == "div":
         if b == 0.0:
             raise EvalError("division")
+        _finite(b)
         return a / b
+    if e.op in ("min", "max"):
+        _finite(a, b)
     return {"add": lambda: a + b, "sub": lambda: a - b, "mul": lambda: a * b,
             "min": lambda: min(a, b), "max": lambda: max(a, b)}[e.op]()
 
@@ -109,11 +122,23 @@ def _outcome(fn, *args):
 @example(Binary("mul", Var(1), Var(1)), [1e200])
 @example(Binary("min", Const(0.0), Unary("neg", Var(1))), [0.0])
 @example(Binary("max", Unary("neg", Var(1)), Const(0.0)), [0.0])
+@example(Binary("min", Unary("neg", Var(1)), Const(0.0)), [0.0])
+@example(Binary("max", Const(0.0), Unary("neg", Var(1))), [0.0])
 @example(Unary("cos", Binary("mul", Var(1), Var(1))), [1e155])
 # the first failing node raises: the division before the missing x3, and
 # the missing x3 before the division
 @example(Binary("add", Binary("div", Const(1.0), Const(0.0)), Var(3)), [1.0])
 @example(Binary("add", Var(3), Binary("div", Const(1.0), Const(0.0))), [1.0])
+# a later node maps the overflow x1*x1 = inf, or inf - inf = nan, to a finite value
+@example(Unary("sign", Binary("sub", Binary("mul", Var(1), Var(1)),
+                              Binary("mul", Var(1), Var(1)))), [1e155])
+@example(Unary("step", Binary("mul", Var(1), Var(1))), [1e155])
+@example(Binary("min", Const(1.0), Binary("mul", Var(1), Var(1))), [1e155])
+@example(Binary("max", Binary("mul", Var(1), Var(1)), Const(1.0)), [-1e155])
+@example(Binary("div", Const(1.0), Binary("mul", Var(1), Var(1))), [1e155])
+@example(Power(Binary("mul", Var(1), Var(1)), -1), [1e155])
+@example(Power(Binary("mul", Var(1), Var(1)), 0), [1e155])
+@example(Unary("exp", Unary("neg", Binary("mul", Var(1), Var(1)))), [1e155])
 def test_compiled_evaluation_matches_reference_fold(e, point):
     assert _outcome(compile_expr(e), point) == _outcome(_reference, e, point)
 
