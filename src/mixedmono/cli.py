@@ -21,12 +21,14 @@ Config layout::
     format = text
 
 All [options] keys are optional; the flag that overrides a key is checked
-exactly like it.  Exit codes: 0 success, 1 config or usage error, or stdout
-closed before the output was written (a broken pipe, as in
-`mixedmono tv ... | head -1`), 2 unbounded derivative enclosure, 3
-integration blowup, 4 non-convergence, 5 an evaluation error (division by
-zero, overflow, sin or cos of an infinity, a non-finite intermediate) at a
-point the command evaluates.
+exactly like it.  An expression may nest at most expr.MAX_NESTING = 100
+levels deep, and bound --check refuses a grid of more than 2^MAX_DEPTH
+points (it has at least 2 per axis, so at most 20 axes).  Exit codes: 0
+success, 1 config or usage error, or stdout closed before the output was
+written (a broken pipe, as in `mixedmono tv ... | head -1`), 2 unbounded
+derivative enclosure, 3 integration blowup, 4 non-convergence, 5 an
+evaluation error (division by zero, overflow, sin or cos of an infinity, a
+non-finite intermediate) at a point the command evaluates.
 """
 
 from __future__ import annotations
@@ -235,8 +237,7 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def _grid_minmax(field: VectorField, box: BoxDomain, total: int = 10000):
-    per_axis = max(2, int(round(total ** (1.0 / box.n))))
+def _grid_minmax(field: VectorField, box: BoxDomain, per_axis: int):
     pts = list(itertools.product(*(linspace(iv.lo, iv.hi, per_axis - 1)
                                    for iv in box.intervals)))
     lows, highs = [], []
@@ -252,9 +253,15 @@ def _grid_minmax(field: VectorField, box: BoxDomain, total: int = 10000):
 def cmd_bound(args) -> int:
     cfg = parse_config(args.config)
     opts = _merged(cfg.options, args)
+    # the --check grid: about 10^4 points, at least 2 per axis, and no more
+    # than the 2^MAX_DEPTH boxes that bound may visit
+    n = cfg.domain.n
+    per_axis = max(2, int(round(10000 ** (1.0 / n))))
+    if args.check and per_axis ** n > 2 ** MAX_DEPTH:
+        raise ConfigError(f"--check needs {per_axis}^{n} grid points, more than 2^{MAX_DEPTH}")
     bounds = refine_bounds(cfg.field, cfg.domain, opts.depth,
                            epsilon=opts.epsilon, slack=opts.slack)
-    check = _grid_minmax(cfg.field, cfg.domain) if args.check else None
+    check = _grid_minmax(cfg.field, cfg.domain, per_axis) if args.check else None
     csv = opts.fmt == "csv"
     out = ["i,lo,hi" + (",grid_lo,grid_hi,enclosed" if check else "")] if csv else []
     for i, iv in enumerate(bounds):

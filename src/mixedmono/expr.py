@@ -37,6 +37,13 @@ from .interval import (BoxDomain, Interval, iv_abs, iv_add, iv_cos, iv_div, iv_e
 
 _UNARY_FUNCS = ("sin", "cos", "exp", "abs", "sign", "step", "jump")
 _BINARY_FUNCS = ("min", "max")
+# parse refuses an expression that nests deeper than this, in parentheses or in
+# the chain of operations from its root to a leaf (a sum of n terms nests n - 1
+# deep).  The parser and every pass over a tree recurse along it, and the
+# second derivative that tv encloses nests up to about eight times as deep (a
+# chain of divisions), so this keeps every command within Python's default
+# recursion limit.
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -79,6 +86,7 @@ class Power:
 
 
 Expr = Union[Const, Var, Unary, Binary, Power]
+_OPS = (Unary, Binary, Power)
 
 _ZERO = Const(0.0)
 _ONE = Const(1.0)
@@ -236,11 +244,31 @@ def parse(text: str, n: int) -> Expr:
     """Parse an expression over x1..xn.
 
     Raises ParseError (with the source offset) on grammar violations and
-    DimensionError when a variable index exceeds n.
+    where the expression nests deeper than MAX_NESTING, and DimensionError
+    when a variable index exceeds n.
     """
     if n < 0:
         raise DimensionError("dimension must be nonnegative")
-    return _Parser(text, n).parse()
+    parser = _Parser(text, n)
+    level = 0  # counted before the parser recurses into a parenthesis
+    for _, val, pos in parser.tokens:
+        level += (val == "(") - (val == ")")
+        if level > MAX_NESTING:
+            raise ParseError(f"expression nests deeper than {MAX_NESTING} levels", pos)
+    e = parser.parse()
+    if _nesting(e) > MAX_NESTING:
+        raise ParseError(f"expression nests deeper than {MAX_NESTING} levels", 0)
+    return e
+
+
+def _nesting(e: Expr) -> int:
+    """The operations on the longest chain from e to a leaf, counted level by
+    level without recursion."""
+    depth, level = 0, [e] if isinstance(e, _OPS) else []
+    while level:
+        depth += 1
+        level = [c for node in level for c in vars(node).values() if isinstance(c, _OPS)]
+    return depth
 
 
 # -- printing ----------------------------------------------------------------
@@ -307,17 +335,6 @@ def variables(e: Expr) -> set[int]:
     if isinstance(e, Power):
         return variables(e.base)
     return set()
-
-
-def is_smooth(e: Expr) -> bool:
-    """True when the tree has no abs/min/max/sign/step nodes."""
-    if isinstance(e, Unary):
-        return e.op not in ("abs", "sign", "step") and is_smooth(e.arg)
-    if isinstance(e, Binary):
-        return e.op not in ("min", "max") and is_smooth(e.left) and is_smooth(e.right)
-    if isinstance(e, Power):
-        return is_smooth(e.base)
-    return True
 
 
 # -- evaluation ----------------------------------------------------------------

@@ -1,39 +1,39 @@
 """Total variation, monotone splits, and variation-based decompositions for scalar functions.
 
-One engine serves every function: dyadic partition sums, each augmented with
-the interior extrema detected at that resolution (bisected on f'), doubled
-until two successive estimates in a row differ by less than tol.  For a
-smooth function the ladder may also stop only once its sum reaches a floor:
-the partition sum over the zeros and bisected sign changes of f' on a fixed
-scan grid, a lower bound on the variation as every partition sum is.  The
-converged partition is kept with the running sums of |Δf| over its nodes,
-so the variation, the Jordan split at any point of the domain, and the
+One engine serves every function: a partition of [a, b], from MIN_CELLS
+equal cells, whose cells are certified by interval enclosures of f' and f''.
+A one-signed enclosure of f' makes a cell monotone, so |Δf| is its exact
+variation.  A one-signed enclosure of f'' makes f' monotone, so the cell is
+monotone too, or its one extremum is pinned as a node by bisection on f'.
+Every other cell carries a bound on the variation that |Δf| misses there,
+and the cell with the largest bound is split until the bounds sum to at most
+tol.  The partition is kept with the running sums of |Δf| over its nodes, so
+the variation, the Jordan split at any point of the domain, and the
 whole-line construction are all read from it by prefix sums.
 
 The splits here complement the Jacobian-based construction in decomp: they
-need no derivative enclosures, only bounded variation, at the price of a
-generally wider bracket.
+need only bounded variation, at the price of a generally wider bracket.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, count
 from typing import Callable, NamedTuple, Optional
 
 from .errors import DimensionError, EvalError, NonConvergenceError
-from .expr import Expr, compile_expr, differentiate, is_smooth, parse, variables
+from .expr import Expr, compile_expr, differentiate, lower_intervals, parse, variables
 from .interval import Interval
 
-_SCAN_CELLS = 1024
-_LOCALIZE_WIDTH = 1e-12
-_PARTITION_START = 8
-# the ladder needs two small differences in a row, so it cannot stop before
-# its third sum: a smaller cell cap can only end in NonConvergenceError
-MIN_CELLS = 4 * _PARTITION_START
+# the partition starts from this many equal cells, so the cell cap must hold them
+MIN_CELLS = 32
 DEFAULT_MAX_CELLS = 2 ** 20
+# a sign change of f' is bisected at least this often, even where f' is too
+# small at the bracket's ends to show how much variation the bracket hides
+_LEAST_STEPS = 10
 
 
 def quad(func, a, b, **kwargs):
@@ -57,21 +57,9 @@ def linspace(a: float, b: float, cells: int) -> list[float]:
     return xs
 
 
-def _bisect_sign_change(deriv: Callable[[float], float], a: float, b: float,
-                        fa: float, fb: float) -> float:
-    """Locate a sign change of deriv inside (a, b) to within _LOCALIZE_WIDTH."""
-    for _ in range(100):
-        if b - a <= _LOCALIZE_WIDTH:
-            break
-        m = 0.5 * (a + b)
-        fm = deriv(m)
-        if fm == 0.0:
-            return m
-        if fa * fm < 0.0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
+def _mid(a: float, b: float) -> float:
+    m = 0.5 * (a + b)
+    return m if math.isfinite(m) else 0.5 * a + 0.5 * b
 
 
 @dataclass(eq=False)
@@ -88,6 +76,8 @@ class ScalarFunction:
     _df: Optional[Callable[[list[float]], float]] = field(default=None, init=False, repr=False,
                                                           compare=False)
     _df_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _trees: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _enclosures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _partition_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _split_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _unbounded_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -99,6 +89,7 @@ class ScalarFunction:
         if self.domain is not None and not self.domain.is_finite():
             raise ValueError("domain must be finite (or None for the whole line)")
         self._f = compile_expr(self.expr)
+        self._trees.append(self.expr)
 
     @classmethod
     def from_string(cls, text: str, lo: float, hi: float) -> "ScalarFunction":
@@ -111,21 +102,31 @@ class ScalarFunction:
     def __call__(self, x: float) -> float:
         return self._f([float(x)])
 
-    @property
-    def smooth(self) -> bool:
-        return is_smooth(self.expr)
+    def _tree(self, order: int) -> Expr:
+        """The tree of the order-th derivative, differentiated on first use."""
+        while len(self._trees) <= order:
+            self._trees.append(differentiate(self._trees[-1], 1))
+        return self._trees[order]
 
     def derivative(self, t: float) -> float:
-        """f'(t), memoized: the ladder's grids nest in the scan's, and the
-        bisections of one extremum at successive levels pass through the same
-        midpoints, so about half of a smooth partition's calls repeat a point."""
+        """f'(t), memoized: a cell's ends are read again by its split and by
+        the certificates of its halves."""
         t = float(t)
         d = self._df_memo.get(t)
         if d is None:
             if self._df is None:
-                self._df = compile_expr(differentiate(self.expr, 1))
+                self._df = compile_expr(self._tree(1))
             d = self._df_memo[t] = self._df([t])
         return d
+
+    def enclosure(self, order: int, lo: float, hi: float) -> tuple[float, float]:
+        """An enclosure of f' (order 1) or f'' (order 2) over [lo, hi] by
+        lower_intervals, built on first use; the whole line where it fails."""
+        run = self._enclosures.get(order)
+        if run is None:
+            run = self._enclosures[order] = lower_intervals((self._tree(order),))
+        (r,) = run((lo,), (hi,))
+        return (-math.inf, math.inf) if isinstance(r, ValueError) else r
 
 
 def _check_tol(tol: float):
@@ -141,43 +142,73 @@ def _check_sub(f: ScalarFunction, sub: Interval):
             f"[{sub.lo}, {sub.hi}] is outside the domain [{f.domain.lo}, {f.domain.hi}]")
 
 
-def _interior_extrema(f: ScalarFunction, xs: list[float], vals: list[float]) -> list[float]:
-    """Extremum locations detected from discrete slope sign changes, bisected on f'.
+def _narrow(f: ScalarFunction, a: float, b: float, share: float):
+    """The bracket (a, b, f'(a), f'(b)) of a sign change of f' between a and b.
 
-    Plain dyadic sums lose 2*slope*dist(extremum, grid) per extremum, and that
-    distance can survive several doublings when the extremum sits just past a
-    grid point; pinning each detected extremum removes the loss entirely.
+    None where f'(a) and f'(b) do not have opposite signs.  Else bisects
+    _LEAST_STEPS times, then until 2*max(|f'(a)|, |f'(b)|)*(b - a) < share
+    or the bracket is one ulp wide; (m, m, 0, 0) where f'(m) = 0 at a
+    midpoint m.  Raises EvalError where f' does."""
+    da, db = f.derivative(a), f.derivative(b)
+    if not (da < 0.0 < db or db < 0.0 < da):
+        return None
+    for k in count():
+        m = _mid(a, b)
+        if not a < m < b or k >= _LEAST_STEPS and 2.0 * max(abs(da), abs(db)) * (b - a) < share:
+            break
+        dm = f.derivative(m)
+        if dm == 0.0:
+            return m, m, 0.0, 0.0
+        if (dm < 0.0) == (da < 0.0):
+            a, da = m, dm
+        else:
+            b, db = m, dm
+    return a, b, da, db
 
-    Zero counts as a slope sign of its own, so a cell whose two end values
-    are equal is still bracketed.  An extremum inside the first or the last
-    cell changes no slope sign, so those two cells are also bracketed by the
-    signs of f' at their ends.
+
+def _certify(f: ScalarFunction, x0: float, x1: float, dv: float, share: float):
+    """(bound, pin) for the cell [x0, x1], over which f changes by dv: at most
+    how much variation |dv| misses there, and the extremum pinned in it, or None.
+
+    A one-signed enclosure of f' gives bound 0, and so does one of f'', which
+    makes f' monotone, unless f' changes sign between the ends; then _narrow
+    pins that one extremum, and 2*max|f'|*width of its bracket bounds what
+    the two halves miss.  Otherwise f' lies in [lo, hi] over the width w, so
+    the variation is at most max(-lo, hi)*w, 2*hi*w - dv and dv - 2*lo*w.
     """
-    signs = [(v > u) - (v < u) for u, v in zip(vals, vals[1:])]
-    found = []
-
-    def bracket(lo: float, hi: float, fallback: Optional[float]):
+    w = x1 - x0
+    lo, hi = f.enclosure(1, x0, x1)
+    if lo >= 0.0 or hi <= 0.0:
+        return 0.0, None
+    clo, chi = f.enclosure(2, x0, x1)
+    if clo >= 0.0 or chi <= 0.0:
         try:
-            da, db = f.derivative(lo), f.derivative(hi)
-            if da * db < 0.0:
-                found.append(_bisect_sign_change(f.derivative, lo, hi, da, db))
-            elif fallback is not None:
-                found.append(fallback)
+            found = _narrow(f, x0, x1, share)
+            if found is None:
+                return 0.0, None
+            a, b, da, db = found
+            return 2.0 * max(abs(da), abs(db)) * (b - a), _mid(a, b)
         except EvalError:
             pass
+    return max(0.0, min(max(-lo, hi) * w, 2.0 * hi * w - dv, dv - 2.0 * lo * w) - abs(dv)), None
 
-    for k in range(len(signs) - 1):
-        if signs[k] != signs[k + 1]:
-            bracket(xs[k], xs[k + 2], xs[k + 1])
-    bracket(xs[0], xs[1], None)
-    bracket(xs[-2], xs[-1], None)
-    return found
+
+def _split_points(f: ScalarFunction, x0: float, x1: float, share: float) -> list[float]:
+    """Where to split [x0, x1]: at both ends of the bracket that _narrow leaves
+    around a sign change of f', which gives it a narrow cell of its own; else
+    at the midpoint.  Only points inside the cell count."""
+    try:
+        found = _narrow(f, x0, x1, share)
+    except EvalError:
+        found = None
+    points = sorted({found[0], found[1]}) if found else [_mid(x0, x1)]
+    return [x for x in points if x0 < x < x1]
 
 
 class _Partition(NamedTuple):
-    """A converged partition of [a, b]: its sorted nodes (the dyadic grid and
-    the pinned extrema), f at each node, and cum[k], the sum of |Δf| over the
-    first k cells, so cum[-1] is the variation over [a, b]."""
+    """A certified partition of [a, b]: its sorted nodes (the start grid,
+    the splits and the pins), f at each node, and cum[k], the sum of |Δf|
+    over the first k cells, so cum[-1] is within tol below the variation."""
 
     nodes: list[float]
     vals: list[float]
@@ -190,70 +221,70 @@ class _Partition(NamedTuple):
         return self.cum[k] + abs(f(x) - self.vals[k])
 
 
-def _variation_floor(f: ScalarFunction, a: float, b: float) -> float:
-    """Partition sum of f over a, b and the zeros and bisected sign changes of
-    f' on _SCAN_CELLS cells: a lower bound on the variation, as every
-    partition sum is, that already resolves every extremum the scan sees."""
-    grid = linspace(a, b, _SCAN_CELLS)
-    d = [f.derivative(t) for t in grid]
-    pts = [a]
-    for k in range(_SCAN_CELLS):
-        if d[k] == 0.0:
-            pts.append(grid[k])
-        elif d[k] * d[k + 1] < 0.0:
-            pts.append(_bisect_sign_change(f.derivative, grid[k], grid[k + 1], d[k], d[k + 1]))
-    pts.append(b)
-    vals = [f(t) for t in pts]
-    return sum(abs(v - u) for u, v in zip(vals, vals[1:]))
-
-
 def _partition(f: ScalarFunction, a: float, b: float, tol: float, max_cells: int) -> _Partition:
+    """The partition of [a, b] whose cells' bounds sum to at most tol.
+
+    max_cells caps the cells of the start grid and its splits; a pin adds a
+    node inside a cell that is certified.  A pin stops below tol/2 times its
+    cell's share of [a, b], so all pins miss at most tol/2.  A cell too
+    narrow to split keeps its bound.  Raises NonConvergenceError where the
+    bounds still sum to more than tol at the cap, or with no cell to split.
+    """
     key = (a, b, tol, max_cells)
     cached = f._partition_cache.get(key)
     if cached is not None:
         return cached
     if a == b:
         return _Partition([a], [f(a)], [0.0])
-    # two coarse sums can agree while both alias a fast oscillation, so a
-    # smooth function's ladder also has to reach the scan's floor
-    floor = _variation_floor(f, a, b) - tol if f.smooth else -math.inf
-    cells = _PARTITION_START
-    prev = None
-    small_diffs = 0
-    while cells <= max_cells:
-        xs = linspace(a, b, cells)
-        vals = [f(x) for x in xs]
-        extra = _interior_extrema(f, xs, vals)
-        if extra:
-            # sorted stably by node: an extremum equal to a grid point stays after it
-            pairs = sorted(zip(xs + extra, vals + [f(x) for x in extra]), key=lambda p: p[0])
-            xs, vals = [x for x, _ in pairs], [v for _, v in pairs]
-        cum = list(accumulate((abs(v - u) for u, v in zip(vals, vals[1:])), initial=0.0))
-        tv = cum[-1]
-        if prev is not None:
-            # one small difference can be a stall (a missed extremum keeps its
-            # grid distance across a doubling), so demand two in a row
-            small_diffs = small_diffs + 1 if abs(tv - prev) < tol else 0
-            if small_diffs >= 2 and tv >= floor:
-                part = f._partition_cache[key] = _Partition(xs, vals, cum)
-                return part
-        prev = tv
-        cells *= 2
-    raise NonConvergenceError(
-        f"partition sums did not stabilize to {tol:.3g} within {max_cells} cells")
+    nodes = {x: f(x) for x in linspace(a, b, MIN_CELLS)}
+    share = 0.5 * tol / (b - a)
+    xs = list(nodes)
+    cells = len(xs) - 1
+    fixed = total = 0.0  # the bounds of the cells that stay whole; of all cells
+    heap = []  # (-bound, x0, x1) for each cell that may be split
+    while True:
+        for x0, x1 in zip(xs, xs[1:]):
+            bound, pin = _certify(f, x0, x1, nodes[x1] - nodes[x0], share * (x1 - x0))
+            total += bound
+            if pin is not None:
+                nodes[pin] = f(pin)
+                fixed += bound
+            elif bound > 0.0:
+                heapq.heappush(heap, (-bound, x0, x1))
+        if not total > tol or not heap or cells >= max_cells:
+            # the running total drifts by rounding, and is NaN once an
+            # infinite bound leaves the heap: sum afresh before stopping
+            total = fixed + math.fsum(-nb for nb, _, _ in heap)
+            if not total > tol:
+                break
+            if not heap or cells >= max_cells:
+                raise NonConvergenceError(
+                    f"partition sums did not stabilize to {tol:.3g} within {max_cells} cells")
+        nb, x0, x1 = heapq.heappop(heap)
+        xs = _split_points(f, x0, x1, share * (x1 - x0))[:max_cells - cells]
+        if xs:
+            total += nb  # the bounds of its parts replace its own
+            for x in xs:
+                nodes[x] = f(x)
+            cells += len(xs)
+            xs = [x0, *xs, x1]
+        else:
+            fixed -= nb
+    xs = sorted(nodes)
+    vals = [nodes[x] for x in xs]
+    cum = list(accumulate((abs(v - u) for u, v in zip(vals, vals[1:])), initial=0.0))
+    part = f._partition_cache[key] = _Partition(xs, vals, cum)
+    return part
 
 
 def total_variation(f: ScalarFunction, sub: Interval, tol: float = 1e-8,
                     max_cells: int = DEFAULT_MAX_CELLS) -> float:
-    """Total variation of f over sub.
+    """Total variation of f over sub, to within tol from below.
 
-    Doubles dyadic partition sums over sub, each augmented with the extrema
-    detected at that resolution, until two successive estimates in a row
-    differ by less than tol and, for a smooth f, the estimate is within tol
-    of the floor from the scan of f'.  Raises NonConvergenceError at the
-    cell cap max_cells, and ValueError unless 0 < tol < inf and max_cells
-    is at least MIN_CELLS.  The value is the last running sum of the
-    converged partition, which jordan_split reads too.
+    The last running sum of the certified partition of sub, which
+    jordan_split reads too.  Raises NonConvergenceError where the bounds on
+    what its cells miss sum to more than tol at the cell cap max_cells, and
+    ValueError unless 0 < tol < inf and max_cells is at least MIN_CELLS.
     """
     _check_tol(tol)
     if max_cells < MIN_CELLS:

@@ -10,6 +10,7 @@ import pytest
 
 from mixedmono import ConfigError, EmbeddingSystem, Interval, ScalarFunction, cli
 from mixedmono.cli import main, parse_config_text
+from mixedmono.expr import MAX_NESTING
 
 SQUARE = """\
 [system]
@@ -523,18 +524,74 @@ def test_bound_with_overflowing_derivative_enclosure(capsys, cfg_file):
 
 
 def test_tv_split_is_consistent_with_printed_variation(capsys):
-    # the partition misses this narrow spike, so the printed TV is wrong (the
-    # variation is 2); the split must still be read from the same partition
+    # the split must be read from the same partition as the printed TV
     rc, out, _ = _run(capsys, ["tv", "--expr", "max(0, 1 - 1000*abs(x1 - 0.3001))",
                                "--a", "-1", "--b", "1", "--grid", "11"])
     assert rc == 0
     lines = out.splitlines()
     tv = float(lines[0].removeprefix("TV = "))
+    assert tv == 2.0
     assert lines[2] == "x f+ f-"
     plus = [float(line.split()[1]) for line in lines[3:]]
     assert len(plus) == 11
     assert all(a <= b for a, b in zip(plus, plus[1:]))
     assert plus[-1] == tv
+
+
+@pytest.mark.parametrize("expr", ["max(0, 1 - 1000*abs(x1 - 0.3001))", "exp(-1e9*(x1-0.3001)^2)",
+                                  "exp(-1e10*(x1-0.3001)^2)", "exp(-1e11*(x1-0.3001)^2)"])
+def test_tv_of_features_between_the_grid_points(capsys, expr):
+    # a spike and bumps far narrower than a cell of the start grid printed TV = 0
+    rc, out, err = _run(capsys, ["tv", "--expr", expr, "--a", "-1", "--b", "1", "--grid", "2"])
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[:2] == ["TV = 2", "bounds: f ∈ [-2, 2]  (g(lo,hi) = -2, g(hi,lo) = 2)"]
+
+
+def _chain(op, count):
+    return op.join(["x1"] * count)
+
+
+@pytest.mark.parametrize("command, text", [
+    ("decompose", _chain(" + ", 500)), ("decompose", _chain(" + ", 1200)),
+    ("bound", _chain(" + ", 1200)), ("tv", _chain(" + ", 1200)), ("tv", _chain("*", 450)),
+    ("tv --expr", "(" * 250 + "x1" + ")" * 250)],
+    ids=["decompose-sum500", "decompose-sum1200", "bound-sum1200", "tv-sum1200",
+         "tv-product450", "tv-parens250"])
+def test_expressions_nested_past_the_cap_are_refused(capsys, cfg_file, command, text):
+    # each ended in a RecursionError traceback (or would, once tv encloses f'')
+    if command == "tv --expr":
+        argv = ["tv", "--expr", text, "--a", "0", "--b", "1"]
+    else:
+        argv = [command, cfg_file(_scalar(text, "[0.5, 0.9]"))]
+    rc, out, err = _run(capsys, argv)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: bad expression: expression nests deeper than "
+                          f"{MAX_NESTING} levels")
+
+
+@pytest.mark.parametrize("text", [_chain(" + ", MAX_NESTING + 1), _chain("*", MAX_NESTING + 1),
+                                  "sin(" * MAX_NESTING + "x1" + ")" * MAX_NESTING],
+                         ids=["sum", "product", "nested-sin"])
+def test_expressions_at_the_nesting_cap_run_every_command(capsys, cfg_file, text):
+    path = cfg_file(_scalar(text, "[0.5, 0.9]"))
+    for argv in (["decompose", path], ["bound", path, "--depth", "2", "--check"],
+                 ["reach", path, "--t-end", "0.01", "--step", "0.01"], ["tv", path],
+                 ["tv", "--expr", text, "--a", "0.5", "--b", "0.9"]):
+        assert _run(capsys, argv)[::2] == (0, ""), argv
+    # tv encloses f'' only where f' changes sign; build and run it here
+    f = ScalarFunction.from_string(text, 0.5, 0.9)
+    lo, hi = f.enclosure(2, 0.5, 0.9)
+    assert lo <= hi
+
+
+def test_bound_check_refuses_a_grid_past_the_box_cap(capsys, cfg_file):
+    # two points per axis are 2^21 on 21 axes: the grid ran out of memory
+    text = ('[system]\ndim = 21\nf1 = "' + " + ".join(f"x{j}" for j in range(1, 22))
+            + '"\n\n[domain]\n' + "".join(f"x{j} = [0, 1]\n" for j in range(1, 22)))
+    path = cfg_file(text)
+    rc, out, err = _run(capsys, ["bound", path, "--check"])
+    assert (rc, out, err) == (1, "", "error: --check needs 2^21 grid points, more than 2^20\n")
+    assert _run(capsys, ["bound", path]) == (0, "f1 ∈ [0, 21]\n", "")
 
 
 def test_one_parser_serves_consecutive_commands(capsys, cfg_file, monkeypatch):

@@ -1,11 +1,11 @@
 """Properties over generated expression trees: the compiled point and interval
 evaluators, the decomposition kernel, the RK4 of the embedding, the bisection
-of refine_bounds and the Jordan split of kink functions."""
+of refine_bounds, and the total variation and Jordan split of scalar functions."""
 
 import math
 
 import numpy as np
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mixedmono import (Binary, BlowupError, BoxDomain, Const, DecompositionSpec, DimensionError,
                        EvalError, Interval, InvalidBoundsError, NonConvergenceError, Power,
@@ -13,7 +13,7 @@ from mixedmono import (Binary, BlowupError, BoxDomain, Const, DecompositionSpec,
                        VectorField, bound_box, build_decomposition, build_embedding,
                        eval_decomposition, eval_interval, evaluate, integrate_embedding,
                        jacobian_bounds, jordan_split, refine_bounds, total_variation)
-from mixedmono.expr import compile_expr, is_smooth
+from mixedmono.expr import compile_expr
 from mixedmono.interval import (iv_abs, iv_add, iv_cos, iv_div, iv_exp, iv_max, iv_min, iv_mul,
                                 iv_neg, iv_power, iv_sign, iv_sin, iv_step, iv_sub)
 
@@ -462,15 +462,14 @@ _SPLIT_CELLS = 256  # a small partition cap keeps each example cheap
 @given(_TREES[1], st.floats(-4.0, 4.0), st.floats(1e-3, 4.0), st.integers(1, 5),
        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
 def test_kink_split_reads_one_partition(e, lo, width, k, fractions):
-    assume(not is_smooth(e))
     hi = lo + width
     f = ScalarFunction(e, Interval(lo, hi))
     try:
         split = jordan_split(f, 1e-8, _SPLIT_CELLS)
         assert split.fplus(lo) == 0.0
         assert split.fplus(hi) == total_variation(f, f.domain, 1e-8, _SPLIT_CELLS)
-        # a converged partition has at least 32 dyadic cells, so these
-        # 2^k + 1 points (k <= 5) are among its nodes
+        # the partition starts from 32 equal cells, so these 2^k + 1
+        # points (k <= 5) are among its nodes
         plus = [split.fplus(x) for x in np.linspace(lo, hi, 2 ** k + 1)]
         assert all(a <= b for a, b in zip(plus, plus[1:])), plus
         f_lo = f(lo)
@@ -482,3 +481,21 @@ def test_kink_split_reads_one_partition(e, lo, width, k, fractions):
             assert p >= abs(f(x) - f_lo) * (1.0 - 1e-12), (x, p, f(x), f_lo)
     except (NonConvergenceError, EvalError, ValueError):
         return
+
+
+@settings(PROPERTY, max_examples=100)
+@given(_TREES[1], st.floats(-4.0, 4.0), st.floats(1e-3, 4.0))
+# a kink at 0.3, inside a start cell, where the enclosure of f'' is two-signed
+@example(Unary("abs", Binary("sub", Power(Var(1), 2), Const(0.09))), 0.0, 1.0)
+def test_variation_is_no_less_than_a_grid_sum(e, lo, width):
+    # every partition sum is at most the variation, and the certified
+    # partition's sum is within tol of it
+    hi = lo + width
+    f = ScalarFunction(e, Interval(lo, hi))
+    try:
+        tv = total_variation(f, f.domain, 1e-8, _SPLIT_CELLS)
+        values = [f(x) for x in np.linspace(lo, hi, 65)]
+    except (NonConvergenceError, EvalError, ValueError):
+        return
+    grid = math.fsum(abs(v - u) for u, v in zip(values, values[1:]))
+    assert tv >= grid - 1e-8, (tv, grid)
