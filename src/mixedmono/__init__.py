@@ -5,7 +5,7 @@ from .errors import (BlowupError, ConfigError, DimensionError, EvalError, Invali
 from .expr import (Binary, Const, Expr, Power, Unary, Var, differentiate, eval_interval,
                    evaluate, parse, to_string)
 from .interval import BoxDomain, Interval, leq_orthant
-from .jacbounds import JacobianBounds, SignCase, VectorField, classify, jacobian_bounds
+from .jacbounds import SignCase, VectorField, classify, jacobian_bounds
 from .decomp import (DecompositionSpec, bound_box, build_decomposition,
                      eval_decomposition, format_decomposition, refine_bounds)
 from .jordan import (JordanSplit, ScalarFunction, UnboundedSplit, bv_decomposition_eval,
@@ -22,7 +22,7 @@ __all__ = [
     "Binary", "Const", "Expr", "Power", "Unary", "Var",
     "differentiate", "eval_interval", "evaluate", "parse", "to_string",
     "BoxDomain", "Interval", "leq_orthant",
-    "JacobianBounds", "SignCase", "VectorField", "classify", "jacobian_bounds",
+    "SignCase", "VectorField", "classify", "jacobian_bounds",
     "DecompositionSpec", "bound_box", "build_decomposition", "eval_decomposition",
     "format_decomposition", "refine_bounds",
     "JordanSplit", "ScalarFunction", "UnboundedSplit", "bv_decomposition_eval",

@@ -23,12 +23,15 @@ Config layout::
 All [options] keys are optional; the flag that overrides a key is checked
 exactly like it.  An expression may nest at most expr.MAX_NESTING = 100
 levels deep, and bound --check refuses a grid of more than 2^MAX_DEPTH
-points (it has at least 2 per axis, so at most 20 axes).  Exit codes: 0
-success, 1 config or usage error, or stdout closed before the output was
-written (a broken pipe, as in `mixedmono tv ... | head -1`), 2 unbounded
-derivative enclosure, 3 integration blowup, 4 non-convergence, 5 an
-evaluation error (division by zero, overflow, sin or cos of an infinity, a
-non-finite intermediate) at a point the command evaluates.
+points (it has at least 2 per axis, so at most 20 axes).  tv takes
+--max-cells from 32 to 2^20 and --grid from 2 to MAX_STEPS = 10^6 points,
+the cap on reach's steps.  Exit codes: 0 success, 1 config or usage error,
+or stdout closed before the output was written (a broken pipe, as in
+`mixedmono tv ... | head -1`), 2 unbounded derivative enclosure or an
+offset |a| + epsilon that overflows, 3 integration blowup, 4
+non-convergence, 5 an evaluation error (division by zero, overflow, sin or
+cos of an infinity, a non-finite intermediate) at a point the command
+evaluates.
 """
 
 from __future__ import annotations
@@ -52,7 +55,8 @@ from .jacbounds import VectorField, classify, jacobian_bounds
 from .jordan import (DEFAULT_MAX_CELLS, MIN_CELLS, ScalarFunction, jordan_split, linspace,
                      total_variation)
 
-# reach keeps every RK4 step of the tube in memory: at most this many
+# reach keeps every RK4 step of the tube in memory, and tv every point of
+# its --grid: at most this many
 MAX_STEPS = 1_000_000
 # bound visits up to 2^depth boxes: about as many as reach's steps
 MAX_DEPTH = 20
@@ -223,7 +227,7 @@ def cmd_decompose(args) -> int:
     for i in range(spec.m):
         g_expr = g_lines[i].split(" = ", 1)[1]
         for j in range(spec.n):
-            iv = jb.entry(i, j)
+            iv = jb[i][j]
             a, b, case = _fmt(iv.lo), _fmt(iv.hi), classify(iv.lo, iv.hi).value
             z, alpha, beta = spec.selector(i, j), _fmt(spec.alpha[i][j]), _fmt(spec.beta[i][j])
             if csv:
@@ -355,8 +359,12 @@ def cmd_tv(args) -> int:
         f = ScalarFunction(cfg.field.components[0], cfg.domain[0])
     if args.max_cells < MIN_CELLS:
         raise ConfigError(f"--max-cells must be at least {MIN_CELLS}")
+    if args.max_cells > DEFAULT_MAX_CELLS:
+        raise ConfigError(f"--max-cells must be at most {DEFAULT_MAX_CELLS}")
     if args.grid < 2:
         raise ConfigError("--grid needs at least 2 points")
+    if args.grid > MAX_STEPS:
+        raise ConfigError(f"--grid needs at most {MAX_STEPS} points")
     domain = f.domain
 
     tv = total_variation(f, domain, opts.tol, max_cells=args.max_cells)

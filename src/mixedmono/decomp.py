@@ -20,8 +20,8 @@ from typing import Callable
 
 from .errors import DimensionError, EvalError, UnboundedDerivativeError
 from .expr import to_string
-from .interval import BoxDomain, Interval, iv_checked, iv_hull, iv_intersect
-from .jacbounds import JacobianBounds, SignCase, VectorField, classify
+from .interval import BoxDomain, Interval, iv_checked, iv_hull, iv_intersect, iv_mid
+from .jacbounds import _CASE1, _CASE2, _CASE3, VectorField, classify
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,7 +45,8 @@ class DecompositionSpec:
         be = tuple(tuple(map(float, row)) for row in self.beta)
         if len({len(row) for row in uf + al + be}) != 1 or not len(uf) == len(al) == len(be):
             raise DimensionError("selector and offset matrices must share an (m, n) shape")
-        if not all(math.isfinite(v) for row in al + be for v in row):
+        # alpha - beta, the coefficient of x - y in g, is finite only where both are
+        if not all(math.isfinite(a - b) for ra, rb in zip(al, be) for a, b in zip(ra, rb)):
             raise ValueError("offsets must be finite")
         if any(v < 0.0 for row in al for v in row) or any(v > 0.0 for row in be for v in row):
             raise ValueError("alpha must be nonnegative and beta nonpositive")
@@ -68,10 +69,6 @@ class DecompositionSpec:
         return "x" if self.use_first[i][j] else "y"
 
 
-# module globals: looking a member up on the Enum class is slow in the per-box loop
-_CASE1, _CASE2, _CASE3 = SignCase.CASE1, SignCase.CASE2, SignCase.CASE3
-
-
 def _classified_row(i: int, row, epsilon: float) -> tuple[tuple[bool, ...], list]:
     """Selectors and offset terms of row i (0-based) of g, from the enclosures
     (a, b) of df_i/dx_1 .. df_i/dx_n.
@@ -79,34 +76,40 @@ def _classified_row(i: int, row, epsilon: float) -> tuple[tuple[bool, ...], list
     first[j] is True where f_i reads x_j (CASE1, CASE2).  terms lists
     (j, alpha_ij - beta_ij) for each sign-unstable entry, in increasing j:
     alpha_ij = |a| + eps on CASE2 and beta_ij = -(|b| + eps) on CASE3.
-    Raises UnboundedDerivativeError on a (-inf, inf) entry and propagates
-    InvalidBoundsError from classify.
+    Raises UnboundedDerivativeError on a (-inf, inf) entry or an offset that
+    overflows, and propagates InvalidBoundsError from classify.
     """
     first, terms = [], []
     for j, (a, b) in enumerate(row):
         if a == -math.inf and b == math.inf:
             raise UnboundedDerivativeError(i + 1, j + 1)
         case = classify(a, b)
-        if case is _CASE2:
-            terms.append((j, abs(a) + epsilon))
-        elif case is _CASE3:
-            terms.append((j, abs(b) + epsilon))
+        if case is _CASE2 or case is _CASE3:
+            c = abs(a if case is _CASE2 else b) + epsilon
+            if c == math.inf:  # the endpoint is finite: only a large epsilon overflows it
+                end = "a" if case is _CASE2 else "b"
+                raise UnboundedDerivativeError(
+                    i + 1, j + 1,
+                    f"offset for f{i + 1}/x{j + 1} overflows: |{end}| + epsilon is not finite")
+            terms.append((j, c))
         first.append(case is _CASE1 or case is _CASE2)
     return tuple(first), terms
 
 
-def build_decomposition(jb: JacobianBounds, epsilon: float = 0.0) -> DecompositionSpec:
-    """Classify every enclosure and assemble selectors and offsets.
+def build_decomposition(jb: list[list[Interval]], epsilon: float = 0.0) -> DecompositionSpec:
+    """Classify every enclosure of jb, the rows of jacobian_bounds, and
+    assemble selectors and offsets.
 
-    Raises UnboundedDerivativeError naming the first (-inf, inf) entry, and
-    propagates InvalidBoundsError from enclosures that are no interval.
+    Raises UnboundedDerivativeError naming the first (-inf, inf) entry or
+    overflowing offset, and propagates InvalidBoundsError from enclosures
+    that are no interval.
     """
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be nonnegative")
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise ValueError("epsilon must be finite and nonnegative")
     use_first, alpha, beta = [], [], []
-    for i, entries in enumerate(jb.entries):
+    for i, entries in enumerate(jb):
         first, terms = _classified_row(i, [(iv.lo, iv.hi) for iv in entries], epsilon)
-        al, be = [0.0] * jb.n, [0.0] * jb.n
+        al, be = [0.0] * len(entries), [0.0] * len(entries)
         for j, c in terms:
             if first[j]:
                 al[j] = c
@@ -116,16 +119,6 @@ def build_decomposition(jb: JacobianBounds, epsilon: float = 0.0) -> Decompositi
         alpha.append(al)
         beta.append(be)
     return DecompositionSpec(use_first, alpha, beta, float(epsilon))
-
-
-def _row(f: VectorField, i: int, first: tuple[bool, ...], terms: list):
-    """One row of the kernel of g: the f.lowered pair of f_i for the selector
-    row first, and the nonzero offset terms (j, alpha_ij - beta_ij)."""
-    for _, c in terms:
-        if not math.isfinite(c):
-            raise ValueError("offsets must be finite")
-    fx, fy = f.lowered(i, first)
-    return fx, fy, terms
 
 
 def decomposition_kernel(spec: DecompositionSpec,
@@ -142,9 +135,10 @@ def decomposition_kernel(spec: DecompositionSpec,
     if spec.m != f.m or spec.n != f.n:
         raise DimensionError("decomposition shape does not match the field")
     rows = []
-    for i in range(f.m):
-        coef = [a - b for a, b in zip(spec.alpha[i], spec.beta[i])]
-        rows.append(_row(f, i, spec.use_first[i], [(j, c) for j, c in enumerate(coef) if c != 0.0]))
+    for i, (first, al, be) in enumerate(zip(spec.use_first, spec.alpha, spec.beta)):
+        coef = [a - b for a, b in zip(al, be)]
+        terms = [(j, c) for j, c in enumerate(coef) if c != 0.0]
+        rows.append((*f.lowered(i, first), terms))
     return partial(_kernel, f.n, rows)
 
 
@@ -226,11 +220,12 @@ def refine_bounds(f: VectorField, box: BoxDomain, depth: int, epsilon: float = 0
         box: finite domain box.
         depth: number of bisection levels, >= 0.
         epsilon: offset margin passed to build_decomposition.
-        slack: outward widening of the derivative enclosures; keep positive
-            for fields with constant derivatives, pass 0 for exact bounds.
+        slack: outward widening of the derivative enclosures; 0 keeps them
+            as computed.
 
     Raises UnboundedDerivativeError if the top-level box has an unbounded
-    entry; deeper recursion falls back to the parent bound instead.
+    entry or an offset that overflows; deeper recursion falls back to the
+    parent bound instead.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -253,10 +248,7 @@ def _refine(f: VectorField, lo: list[float], hi: list[float], depth: int, epsilo
     k = widths.index(max(widths))  # the widest axis; ties go to the lowest index
     if widths[k] == 0.0:
         return parent  # fully degenerate box, nothing to split
-    mid = 0.5 * (lo[k] + hi[k])
-    if not math.isfinite(mid):
-        # lo + hi overflowed; the sum of the halves cannot, and lies in [lo, hi]
-        mid = 0.5 * lo[k] + 0.5 * hi[k]
+    mid = iv_mid(lo[k], hi[k])
     children = []
     for clo, chi in ((lo, hi[:k] + [mid] + hi[k + 1:]), (lo[:k] + [mid] + lo[k + 1:], hi)):
         try:
@@ -271,10 +263,11 @@ def _refine(f: VectorField, lo: list[float], hi: list[float], depth: int, epsilo
 def _bracket(f: VectorField, lo: list[float], hi: list[float], epsilon: float,
              slack: float) -> list[tuple[float, float]]:
     """Depth-0 bracket endpoints over the box [lo, hi]."""
-    rows = [_classified_row(i, row, epsilon)
-            for i, row in enumerate(f.jacobian_ranges(lo, hi, slack))]
-    g = _kernel(f.n, [_row(f, i, first, terms) for i, (first, terms) in enumerate(rows)],
-                lo + hi, True)
+    rows = []
+    for i, row in enumerate(f.jacobian_ranges(lo, hi, slack)):
+        first, terms = _classified_row(i, row, epsilon)
+        rows.append((*f.lowered(i, first), terms))
+    g = _kernel(f.n, rows, lo + hi, True)
     return [iv_checked(a, b) for a, b in zip(g[:f.m], g[f.m:])]
 
 

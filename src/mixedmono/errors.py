@@ -26,10 +26,11 @@ class InvalidBoundsError(ToolkitError):
 
 
 class UnboundedDerivativeError(ToolkitError):
-    """A partial derivative enclosure is (-inf, inf) where a bounded one is required."""
+    """A partial derivative enclosure is (-inf, inf), or the offset built from
+    it overflows, where a bounded one is required."""
 
-    def __init__(self, row: int, col: int):
-        super().__init__(f"derivative enclosure for f{row}/x{col} is (-inf, inf)")
+    def __init__(self, row: int, col: int, message: str = ""):
+        super().__init__(message or f"derivative enclosure for f{row}/x{col} is (-inf, inf)")
         self.row = row
         self.col = col
 

@@ -201,6 +201,13 @@ def iv_intersect(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float,
     return lo, hi
 
 
+def iv_mid(lo: float, hi: float) -> float:
+    """The midpoint of [lo, hi]: where lo + hi overflows, the sum of the
+    halves, which cannot, and lies in [lo, hi]."""
+    m = 0.5 * (lo + hi)
+    return m if math.isfinite(m) else 0.5 * lo + 0.5 * hi
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed interval [lo, hi], checked by iv_checked; endpoints may be

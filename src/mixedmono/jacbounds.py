@@ -20,7 +20,8 @@ class VectorField:
 
     The compiled factory of each component, the evaluators it binds, and
     the Jacobian trees with their shared-node interval evaluator are built
-    on first use and kept on the instance.
+    on first use and kept on the instance.  It is the one owner of these
+    forms: jordan.ScalarFunction reads f, f' and f'' through one field each.
     """
 
     n: int
@@ -152,31 +153,13 @@ def classify(a: float, b: float) -> SignCase:
     raise InvalidBoundsError(f"enclosure needs a < b, got ({a}, {b})")
 
 
-@dataclass(frozen=True)
-class JacobianBounds:
-    """m x n open enclosures (a_ij, b_ij) of df_i/dx_j over a box."""
-
-    entries: tuple[tuple[Interval, ...], ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.entries)
-
-    @property
-    def n(self) -> int:
-        return len(self.entries[0])
-
-    def entry(self, i: int, j: int) -> Interval:
-        """0-based row/column access."""
-        return self.entries[i][j]
-
-
-def jacobian_bounds(f: VectorField, box: BoxDomain, slack: float = 1e-9) -> JacobianBounds:
+def jacobian_bounds(f: VectorField, box: BoxDomain, slack: float = 1e-9) -> list[list[Interval]]:
     """Enclose every df_i/dx_j over the box by natural interval extension.
 
-    Each entry is the enclosure of the tree f.jacobian[i][j] over the box
-    by the cached shared-node evaluator (f.jacobian_ranges), widened
-    outward by slack.  With slack = 0 a constant derivative c has the point
+    Returns the m rows of n open enclosures: entry [i][j] encloses
+    df_{i+1}/dx_{j+1}.  It is the enclosure of the tree f.jacobian[i][j]
+    over the box by the cached shared-node evaluator (f.jacobian_ranges),
+    widened outward by slack.  With slack = 0 a constant derivative c has the point
     enclosure (c, c), which classify takes as sign-stable.
     Unbounded entries (infinite endpoints) are recorded, not raised;
     downstream constructions decide whether they are fatal.
@@ -184,4 +167,4 @@ def jacobian_bounds(f: VectorField, box: BoxDomain, slack: float = 1e-9) -> Jaco
     if box.n != f.n:
         raise DimensionError(f"box has {box.n} axes but the field has n={f.n}")
     ranges = f.jacobian_ranges(box.lower_corner(), box.upper_corner(), slack)
-    return JacobianBounds(tuple(tuple(Interval(a, b) for a, b in row) for row in ranges))
+    return [[Interval(a, b) for a, b in row] for row in ranges]

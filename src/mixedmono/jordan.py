@@ -25,8 +25,9 @@ from itertools import accumulate, count
 from typing import Callable, NamedTuple, Optional
 
 from .errors import DimensionError, EvalError, NonConvergenceError
-from .expr import Expr, compile_expr, differentiate, lower_intervals, parse, variables
-from .interval import Interval
+from .expr import Expr, parse, variables
+from .interval import Interval, iv_mid
+from .jacbounds import VectorField
 
 # the partition starts from this many equal cells, so the cell cap must hold them
 MIN_CELLS = 32
@@ -57,27 +58,21 @@ def linspace(a: float, b: float, cells: int) -> list[float]:
     return xs
 
 
-def _mid(a: float, b: float) -> float:
-    m = 0.5 * (a + b)
-    return m if math.isfinite(m) else 0.5 * a + 0.5 * b
-
-
 @dataclass(eq=False)
 class ScalarFunction:
     """A scalar expression of x1 on a finite interval, or on the whole line.
 
     domain=None marks the whole-line case used by the base-point construction
-    in unbounded_decomposition.
+    in unbounded_decomposition.  f and each derivative used are one-component
+    VectorFields, the one owner of their compiled forms: f, then the field of
+    each derivative, built on first use from the Jacobian tree of the last.
     """
 
     expr: Expr
     domain: Optional[Interval] = None
+    _fields: list = field(default_factory=list, init=False, repr=False, compare=False)
     _f: Callable[[list[float]], float] = field(init=False, repr=False, compare=False)
-    _df: Optional[Callable[[list[float]], float]] = field(default=None, init=False, repr=False,
-                                                          compare=False)
     _df_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _trees: list = field(default_factory=list, init=False, repr=False, compare=False)
-    _enclosures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _partition_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _split_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _unbounded_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -88,8 +83,8 @@ class ScalarFunction:
             raise DimensionError("scalar functions may only use x1")
         if self.domain is not None and not self.domain.is_finite():
             raise ValueError("domain must be finite (or None for the whole line)")
-        self._f = compile_expr(self.expr)
-        self._trees.append(self.expr)
+        self._fields.append(VectorField(1, (self.expr,)))
+        self._f = self._fields[0].compiled[0]
 
     @classmethod
     def from_string(cls, text: str, lo: float, hi: float) -> "ScalarFunction":
@@ -102,11 +97,11 @@ class ScalarFunction:
     def __call__(self, x: float) -> float:
         return self._f([float(x)])
 
-    def _tree(self, order: int) -> Expr:
-        """The tree of the order-th derivative, differentiated on first use."""
-        while len(self._trees) <= order:
-            self._trees.append(differentiate(self._trees[-1], 1))
-        return self._trees[order]
+    def _field(self, order: int) -> VectorField:
+        """The field of the order-th derivative, built on first use."""
+        while len(self._fields) <= order:
+            self._fields.append(VectorField(1, self._fields[-1].jacobian[0]))
+        return self._fields[order]
 
     def derivative(self, t: float) -> float:
         """f'(t), memoized: a cell's ends are read again by its split and by
@@ -114,18 +109,14 @@ class ScalarFunction:
         t = float(t)
         d = self._df_memo.get(t)
         if d is None:
-            if self._df is None:
-                self._df = compile_expr(self._tree(1))
-            d = self._df_memo[t] = self._df([t])
+            d = self._df_memo[t] = self._field(1).compiled[0]([t])
         return d
 
     def enclosure(self, order: int, lo: float, hi: float) -> tuple[float, float]:
-        """An enclosure of f' (order 1) or f'' (order 2) over [lo, hi] by
-        lower_intervals, built on first use; the whole line where it fails."""
-        run = self._enclosures.get(order)
-        if run is None:
-            run = self._enclosures[order] = lower_intervals((self._tree(order),))
-        (r,) = run((lo,), (hi,))
+        """An enclosure of f' (order 1) or f'' (order 2) over [lo, hi], by the
+        Jacobian interval program of the field of order - 1; the whole line
+        where it fails."""
+        (r,) = self._field(order - 1).jacobian_interval((lo,), (hi,))
         return (-math.inf, math.inf) if isinstance(r, ValueError) else r
 
 
@@ -153,7 +144,7 @@ def _narrow(f: ScalarFunction, a: float, b: float, share: float):
     if not (da < 0.0 < db or db < 0.0 < da):
         return None
     for k in count():
-        m = _mid(a, b)
+        m = iv_mid(a, b)
         if not a < m < b or k >= _LEAST_STEPS and 2.0 * max(abs(da), abs(db)) * (b - a) < share:
             break
         dm = f.derivative(m)
@@ -187,7 +178,7 @@ def _certify(f: ScalarFunction, x0: float, x1: float, dv: float, share: float):
             if found is None:
                 return 0.0, None
             a, b, da, db = found
-            return 2.0 * max(abs(da), abs(db)) * (b - a), _mid(a, b)
+            return 2.0 * max(abs(da), abs(db)) * (b - a), iv_mid(a, b)
         except EvalError:
             pass
     return max(0.0, min(max(-lo, hi) * w, 2.0 * hi * w - dv, dv - 2.0 * lo * w) - abs(dv)), None
@@ -201,7 +192,7 @@ def _split_points(f: ScalarFunction, x0: float, x1: float, share: float) -> list
         found = _narrow(f, x0, x1, share)
     except EvalError:
         found = None
-    points = sorted({found[0], found[1]}) if found else [_mid(x0, x1)]
+    points = sorted({found[0], found[1]}) if found else [iv_mid(x0, x1)]
     return [x for x in points if x0 < x < x1]
 
 

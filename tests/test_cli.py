@@ -364,11 +364,14 @@ def test_tv_source_validation(capsys, cfg_file):
     ("--max-cells", "-5", "--max-cells must be at least 32"),
     ("--max-cells", "0", "--max-cells must be at least 32"),
     ("--max-cells", "8", "--max-cells must be at least 32"),
-    ("--max-cells", "31", "--max-cells must be at least 32")])
+    ("--max-cells", "31", "--max-cells must be at least 32"),
+    ("--max-cells", "1048577", "--max-cells must be at most 1048576"),
+    ("--grid", "1000001", "--grid needs at most 1000000 points")])
 def test_tv_rejects_bad_tolerance_and_cell_flags(capsys, flag, value, message):
     # --tol inf printed TV = 43.3137085 here (the TV is 2800), --tol nan ran
     # to the cell cap and exited 4, and --max-cells from -5 to 31 exited 4:
-    # the ladder cannot stop before 32 cells
+    # the ladder cannot stop before 32 cells.  Above their caps, --max-cells
+    # and --grid had no bound on the memory they ask for
     rc, out, err = _run(capsys, ["tv", "--expr", "sin(700*x1)", "--a", "0",
                                  "--b", "6.283185307179586", flag, value])
     assert rc == 1 and out == ""
@@ -439,6 +442,18 @@ def test_exit_code_for_a_divisor_that_can_vanish(capsys, cfg_file, command, expr
     # 8.04733728] at depth 0 and ended in a ValueError traceback at depth 3
     rc, out, err = _run(capsys, command[:1] + [cfg_file(_scalar(expr))] + command[1:])
     assert (rc, out, err) == (2, "", "error: derivative enclosure for f1/x1 is (-inf, inf)\n")
+
+
+@pytest.mark.parametrize("command", [["decompose"], ["bound", "--depth", "3"], ["reach"]])
+@pytest.mark.parametrize("box, end", [("[-1, 1]", "a"), ("[-1, 0.5]", "b")])
+def test_exit_code_for_an_offset_that_overflows(capsys, cfg_file, command, box, end):
+    # f' = 2e307*x1 encloses to [-2e307, 2e307] (case2, offset |a| + epsilon)
+    # or [-2e307, 1e307] (case3, |b| + epsilon); either sum overflows.  Each
+    # command ended in a ValueError traceback at exit 1
+    text = _scalar("1e307*x1^2", box) + "\n[options]\nepsilon = 1.7e308\n"
+    rc, out, err = _run(capsys, command[:1] + [cfg_file(text)] + command[1:])
+    assert (rc, out) == (2, "")
+    assert err == f"error: offset for f1/x1 overflows: |{end}| + epsilon is not finite\n"
 
 
 @pytest.mark.parametrize("expr", ["step(x1) - step(x1-0.5)", "sign(x1)*sign(x1-0.5)"])

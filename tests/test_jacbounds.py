@@ -27,18 +27,18 @@ def test_jacobian_bounds_linear_row():
     box = BoxDomain.from_bounds([(0, 1), (0, 1)])
     s = 1e-9
     jb = jacobian_bounds(f, box, slack=s)
-    assert jb.m == 1 and jb.n == 2
-    assert jb.entry(0, 0).lo == pytest.approx(-1 - s, abs=1e-18)
-    assert jb.entry(0, 0).hi == pytest.approx(-1 + s, abs=1e-18)
-    assert jb.entry(0, 1).lo == pytest.approx(1 - s, abs=1e-18)
-    assert jb.entry(0, 1).hi == pytest.approx(1 + s, abs=1e-18)
+    assert len(jb) == 1 and len(jb[0]) == 2
+    assert jb[0][0].lo == pytest.approx(-1 - s, abs=1e-18)
+    assert jb[0][0].hi == pytest.approx(-1 + s, abs=1e-18)
+    assert jb[0][1].lo == pytest.approx(1 - s, abs=1e-18)
+    assert jb[0][1].hi == pytest.approx(1 + s, abs=1e-18)
 
 
 def test_jacobian_bounds_square():
     f = VectorField.from_strings(["x1^2"], 1)
     box = BoxDomain.from_bounds([(-1, 1)])
     jb = jacobian_bounds(f, box, slack=0.0)
-    assert jb.entry(0, 0).lo == -2.0 and jb.entry(0, 0).hi == 2.0
+    assert jb[0][0].lo == -2.0 and jb[0][0].hi == 2.0
 
 
 def test_box_dimension_mismatch():
@@ -56,7 +56,7 @@ def test_containment_of_sampled_derivatives(corpus, rng):
         for i, comp in enumerate(f.components):
             for j in range(1, f.n + 1):
                 d = differentiate(comp, j)
-                iv = jb.entry(i, j - 1)
+                iv = jb[i][j - 1]
                 vals = [evaluate(d, p) for p in pts]
                 assert all(iv.lo < v < iv.hi for v in vals), (entry.name, i, j)
 

@@ -23,6 +23,38 @@ def _on(text, lo, hi):
 
 # -- scalar function wrapper ----------------------------------------------------
 
+def test_tv_compiles_f_and_f_prime_once_and_builds_each_interval_program_once(monkeypatch):
+    # every certified cell reads f, f' and the enclosures of f' and f'' from
+    # the one VectorField of each order
+    import builtins
+    from mixedmono import expr, jacbounds
+
+    sources, runs = [], []
+
+    def counting(source, *args):
+        sources.append(source)
+        return builtins.compile(source, *args)
+
+    def lowering(trees, build=jacbounds.lower_intervals):
+        run, k = build(trees), len(runs)
+        runs.append(0)
+
+        def counted(lo, hi):
+            runs[k] += 1
+            return run(lo, hi)
+
+        return counted
+
+    monkeypatch.setattr(expr, "compile", counting, raising=False)
+    monkeypatch.setattr(jacbounds, "lower_intervals", lowering)
+    f = _on("abs(x1*sin(x1))", -5.92178, 6.32897)
+    split = jordan_split(f)
+    assert split.fplus(6.32897) == pytest.approx(24.7325, abs=1e-4)
+    assert len(sources) == 2  # f and f'
+    assert len(runs) == 2  # the enclosures of f' and of f''
+    assert runs[0] > MIN_CELLS and runs[1] > 1  # 44 and 12 cells
+
+
 def test_scalar_function_validation():
     with pytest.raises(DimensionError):
         _on("x1 + x2", 0.0, 1.0)

@@ -368,6 +368,10 @@ def test_jacobian_ranges_match_interval_fold(case):
 _FRACTIONS = st.lists(st.floats(0.0, 1.0), min_size=N, max_size=N)
 
 
+def _in_box(box, ts):
+    return [min(max(b.lo + t * (b.hi - b.lo), b.lo), b.hi) for b, t in zip(box.intervals, ts)]
+
+
 @settings(PROPERTY, max_examples=200)
 @given(_TREES[N], _boxes(N), st.lists(_FRACTIONS, min_size=1, max_size=4))
 def test_eval_interval_contains_evaluate(e, box, fractions):
@@ -376,7 +380,7 @@ def test_eval_interval_contains_evaluate(e, box, fractions):
     except ValueError:
         return  # a range overflowed to [inf, inf]: no enclosure, so nothing to contain
     for ts in fractions:
-        p = [min(max(b.lo + t * (b.hi - b.lo), b.lo), b.hi) for b, t in zip(box.intervals, ts)]
+        p = _in_box(box, ts)
         try:
             v = evaluate(e, p)
         except EvalError:
@@ -444,13 +448,39 @@ def test_refine_bounds_contains_field(case, depth, epsilon, fractions):
         # no bracket printed, so nothing to contain
         return
     for ts in fractions:
-        p = [min(max(b.lo + t * (b.hi - b.lo), b.lo), b.hi) for b, t in zip(box.intervals, ts)]
+        p = _in_box(box, ts)
         try:
             values = f.evaluate(p)
         except EvalError:
             continue
         for iv, v in zip(bounds, values):
             assert iv.lo <= v <= iv.hi, (p, v, iv)
+
+
+# g is monotone in exact arithmetic; its float evaluation may round the two
+# sides of a comparison apart by a few ulps of the larger
+_MONOTONE_ULPS = 4
+
+
+@settings(PROPERTY, max_examples=150)
+@given(_bounded_fields(), _EPSILONS, st.lists(_FRACTIONS, min_size=4, max_size=4))
+def test_decomposition_is_monotone_on_its_box(case, epsilon, fractions):
+    f, box = case
+    try:
+        spec = build_decomposition(jacobian_bounds(f, box), epsilon)
+    except (UnboundedDerivativeError, InvalidBoundsError):
+        return  # no decomposition, so nothing to order
+    a, b, c, d = (_in_box(box, ts) for ts in fractions)
+    low, high = [min(u, v) for u, v in zip(a, b)], [max(u, v) for u, v in zip(a, b)]
+    ylow, yhigh = [min(u, v) for u, v in zip(c, d)], [max(u, v) for u, v in zip(c, d)]
+    # nondecreasing in x at y = c, and nonincreasing in y at x = a
+    for smaller, larger in (((low, c), (high, c)), ((a, yhigh), (a, ylow))):
+        try:
+            gs, gl = eval_decomposition(spec, f, *smaller), eval_decomposition(spec, f, *larger)
+        except EvalError:
+            continue
+        for u, v in zip(gs, gl):
+            assert u <= v + _MONOTONE_ULPS * math.ulp(max(abs(u), abs(v))), (smaller, larger, u, v)
 
 
 # -- Jordan split of kink functions ----------------------------------------------------
