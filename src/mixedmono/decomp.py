@@ -9,16 +9,21 @@ alpha_ij = |a_ij| + eps on CASE2 entries (else 0), and
 beta_ij = -(|b_ij| + eps) on CASE3 entries (else 0).  On the diagonal
 g(x, x) = f(x) exactly, g is nondecreasing in x and nonincreasing in y, and
 evaluating at opposite box corners brackets the range of f over the box.
+
+One kernel evaluates g.  VectorField.g_factory compiles f_1 .. f_m once per
+field into straight-line code (expr.lower_decomposition) that returns g(x, y)
+and g(y, x) together; decomposition_kernel binds it to a spec and _bracket to
+the rows of each box, and neither compiles anything.  eval_decomposition,
+bound_box, refine_bounds and the embedding system all run it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
-from .errors import DimensionError, EvalError, UnboundedDerivativeError
+from .errors import DimensionError, UnboundedDerivativeError
 from .expr import to_string
 from .interval import BoxDomain, Interval, iv_checked, iv_hull, iv_intersect, iv_mid
 from .jacbounds import _CASE1, _CASE2, _CASE3, VectorField, classify
@@ -125,50 +130,22 @@ def decomposition_kernel(spec: DecompositionSpec,
                          f: VectorField) -> Callable[[list[float], bool], list[float]]:
     """The float-list kernel of g behind eval_decomposition, bound_box and the embedding.
 
-    kernel(s, both) takes s = x + y, a list of 2n floats, and returns the list
+    kernel(p, both) takes p = x + y, a list of 2n floats, and returns the list
     [g_1(x, y), .., g_m(x, y)], followed by [g_1(y, x), .., g_m(y, x)] when
-    both is true.  Each f_i reads its arguments straight from s through the
-    slots its selectors pick, and x - y and the offsets (alpha_i - beta_i) .
-    (x - y) are computed once; g(y, x) uses the negated offsets.  Raises
-    EvalError when an entry of s or a value of f_i is not finite.
+    both is true.  It is the field's one compiled kernel (f.g_factory, see
+    expr.lower_decomposition) bound to the rows of spec, so no spec
+    compiles anything: each f_i reads its arguments straight from p through
+    the slots its selectors pick, and its offset sum over x - y runs over
+    the nonzero alpha_ij - beta_ij in increasing j.  Raises EvalError when
+    an entry of p or a value of f_i is not finite.
     """
     if spec.m != f.m or spec.n != f.n:
         raise DimensionError("decomposition shape does not match the field")
     rows = []
-    for i, (first, al, be) in enumerate(zip(spec.use_first, spec.alpha, spec.beta)):
+    for first, al, be in zip(spec.use_first, spec.alpha, spec.beta):
         coef = [a - b for a, b in zip(al, be)]
-        terms = [(j, c) for j, c in enumerate(coef) if c != 0.0]
-        rows.append((*f.lowered(i, first), terms))
-    return partial(_kernel, f.n, rows)
-
-
-def _kernel(n: int, rows: list, s: list[float], both: bool) -> list[float]:
-    """The kernel of decomposition_kernel, for the rows of g given as a list.
-
-    Row i is (fx, fy, terms): the f.lowered pair of f_i and its nonzero
-    offset terms (j, alpha_ij - beta_ij), in increasing j.
-    """
-    isfinite = math.isfinite
-    if not all(map(isfinite, s)):
-        raise EvalError("point entries must be finite")
-    diff = [s[j] - s[n + j] for j in range(n)]
-    out, offsets = [], []
-    for fx, _, terms in rows:
-        v = fx(s)
-        if not isfinite(v):
-            raise EvalError("non-finite value during evaluation")
-        off = 0.0
-        for j, c in terms:
-            off += c * diff[j]
-        offsets.append(off)
-        out.append(v + off)
-    if both:
-        for (_, fy, _), off in zip(rows, offsets):
-            v = fy(s)
-            if not isfinite(v):
-                raise EvalError("non-finite value during evaluation")
-            out.append(v + (0.0 - off))  # 0.0 - off: the sum over y - x, signed zero included
-    return out
+        rows.append((first, [(j, c) for j, c in enumerate(coef) if c != 0.0]))
+    return f.g_factory(rows)
 
 
 def eval_decomposition(spec: DecompositionSpec, f: VectorField, x, y) -> list[float]:
@@ -224,8 +201,8 @@ def refine_bounds(f: VectorField, box: BoxDomain, depth: int, epsilon: float = 0
             as computed.
 
     Raises UnboundedDerivativeError if the top-level box has an unbounded
-    entry or an offset that overflows; deeper recursion falls back to the
-    parent bound instead.
+    entry, an offset that overflows or a bracket endpoint that does; deeper
+    recursion falls back to the parent bound instead.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -262,13 +239,20 @@ def _refine(f: VectorField, lo: list[float], hi: list[float], depth: int, epsilo
 
 def _bracket(f: VectorField, lo: list[float], hi: list[float], epsilon: float,
              slack: float) -> list[tuple[float, float]]:
-    """Depth-0 bracket endpoints over the box [lo, hi]."""
-    rows = []
-    for i, row in enumerate(f.jacobian_ranges(lo, hi, slack)):
-        first, terms = _classified_row(i, row, epsilon)
-        rows.append((*f.lowered(i, first), terms))
-    g = _kernel(f.n, rows, lo + hi, True)
-    return [iv_checked(a, b) for a, b in zip(g[:f.m], g[f.m:])]
+    """Depth-0 bracket endpoints over the box [lo, hi].
+
+    Raises UnboundedDerivativeError where an endpoint is not finite: each
+    value of f_i is finite there, so its offset sum overflowed.
+    """
+    rows = [_classified_row(i, row, epsilon)
+            for i, row in enumerate(f.jacobian_ranges(lo, hi, slack))]
+    g = f.g_factory(rows)(lo + hi, True)
+    bracket = list(zip(g[:f.m], g[f.m:]))
+    for i, (a, b) in enumerate(bracket):
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise UnboundedDerivativeError(i + 1, None, f"bracket for f{i + 1} overflows: "
+                                           f"f{i + 1} plus its offsets is not finite on the box")
+    return [iv_checked(a, b) for a, b in bracket]
 
 
 def _fmt_coeff(c: float) -> str:

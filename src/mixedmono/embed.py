@@ -10,8 +10,12 @@ Classical RK4 runs on Python lists of 2n floats (0.5*h and h/6 formed
 first, the stage sum taken left to right), and the ReachTube holds those
 lists: its times, and one row of n floats per time for each of lower and
 upper.  Each stage makes one call of EmbeddingSystem.rhs, which returns
-g(x, y) and g(y, x) from one call of decomp.decomposition_kernel: it checks
-the state once and computes x - y and the offsets once.
+g(x, y) and g(y, x) from one call of the field's compiled kernel
+(decomp.decomposition_kernel, compiled once per field): it checks the state
+once, forms the offsets once, and runs f_1 .. f_m as straight-line code for
+each half, with no call per component.  The design follows immrax
+(Harapanahalli, Jafarpour & Coogan, 2023), which builds the embedding system
+from an inclusion function and compiles it once, through JAX.
 """
 
 from __future__ import annotations

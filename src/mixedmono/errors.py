@@ -27,9 +27,10 @@ class InvalidBoundsError(ToolkitError):
 
 class UnboundedDerivativeError(ToolkitError):
     """A partial derivative enclosure is (-inf, inf), or the offset built from
-    it overflows, where a bounded one is required."""
+    it overflows, where a bounded one is required.  col is None where a
+    whole row is to blame: the offset sum of f_row overflows on a box."""
 
-    def __init__(self, row: int, col: int, message: str = ""):
+    def __init__(self, row: int, col: int | None, message: str = ""):
         super().__init__(message or f"derivative enclosure for f{row}/x{col} is (-inf, inf)")
         self.row = row
         self.col = col

@@ -392,42 +392,139 @@ def lower_factory(e: Expr) -> Callable[[Sequence[int]], Callable[[Sequence[float
     list can feed a tree whose variables are picked from any of its
     entries, and one compile serves every slot tuple.
 
-    The generated function runs the program of _program: one assignment
-    per node, in the order evaluation first reaches it, so its source nests
-    no deeper for a deeper tree, a subtree that occurs twice is computed
-    once, and the first failing node raises.  Each variable is read from p
-    once, where evaluation first reaches it, and a point too short for it
-    raises DimensionError there.  + - * neg abs are inlined, and the other
-    ops call helpers that raise EvalError.  The source holds only node
-    kinds, integers and the repr of finite floats.
+    The generated function runs the program of _program as _straight_line
+    writes it: each node once, in the order evaluation first reaches it, so
+    its source nests no deeper than _INLINE_DEPTH for a deeper tree, a
+    subtree that occurs twice is computed once, and the first failing node
+    raises.  Each variable is read from p once, where evaluation first
+    reaches it, and a point too short for it raises DimensionError there.
+    + - * neg abs are inlined, and the other ops call helpers that raise
+    EvalError.
     """
-    nodes, (root,) = _program((e,))
-    names: list[str] = []  # the name or literal holding each node
-    lines: list[str] = []
-    reads: list[int] = []
-    for k, (kind, *rest) in enumerate(nodes):
-        if kind == "c":
-            text = repr(rest[0])
-            names.append(f"({text})" if text.startswith("-") else text)
-            continue
-        if kind == "x":
-            reads.append(rest[0])
-            names.append(f"x{rest[0]}")
-            text = f"p[k{rest[0]}]"
-        else:
-            source, _, *args = rest
-            names.append(f"t{k}")
-            text = source.format(*(names[a] for a in args))
-        lines.append(f"{names[k]} = {text}")
+    reads, source = _straight_line(e)
+    *lines, result = source.format("", "").split("\n")
     src = "\n".join(
         ["def make(slots):"]
         + [f"    k{j} = slots[{j - 1}]" for j in reads]
         + ["    def run(p):", "        try:"]
         + [f"            {line}" for line in lines]
-        + [f"            return {names[root]}",
+        + [f"            return {result}",
            "        except IndexError:",
            f"            raise _short(p, ({''.join(f'({j}, k{j}), ' for j in reads)})) from None",
            "    return run"])
+    return _compiled(src)
+
+
+def lower_decomposition(trees: Sequence[Expr], n: int) -> Callable[[Sequence], Callable]:
+    """Compile once the kernel of g(x, y) = f(z) + c . (x - y), f_1 .. f_m being trees.
+
+    factory(rows) binds the kernel to the rows of one decomposition, without
+    compiling: row i is (first, terms), where first[j] is true when f_i
+    reads x_{j+1} (false: y_{j+1}), and terms lists the pairs (j, c_ij) of
+    its nonzero offsets, in increasing j.
+
+    kernel(p, both) takes p = x + y, a list of exactly 2n floats, and
+    returns [g_1(x, y), .., g_m(x, y)], followed by [g_1(y, x), ..,
+    g_m(y, x)] when both is true.  It tests every entry of p for finiteness
+    once, and forms each offset sum o_i = 0.0 + c_ij * (x_j - y_j) + .. over
+    the terms of row i in order.  Then f_1 .. f_m run as straight-line code,
+    each written from its program of _program and followed by a test that
+    its value is finite; f_i reads x_j from the slot k = j - 1 or n + j - 1
+    of p that its selector picks.  For g(y, x) the same code reads slot
+    k - n, the other half of p (a negative index when k < n), and adds
+    0.0 - o_i, the sum over y - x bit for bit.  Raises EvalError where an
+    entry of p or a value of f_i is not finite, or where a node of f_i
+    fails, f_1 to f_m for g(x, y) first.
+    """
+    m = len(trees)
+    make = ["def make(rows):",
+            "    " + "".join(f"(first{i}, terms{i}), " for i in range(m)) + "= rows"]
+    kernel = ["    def kernel(p, both):",
+              "        if not all(map(_isfinite, p)):",
+              "            raise EvalError(\"point entries must be finite\")",
+              "        d = (" + "".join(f"p[{j}] - p[{n + j}], " for j in range(n)) + ")"]
+    for i in range(m):
+        kernel += [f"        o{i} = 0.0", f"        for j, c in terms{i}:",
+                   f"            o{i} += c * d[j]"]
+    halves = {"v": [], "w": []}
+    for i, e in enumerate(trees):
+        reads, source = _straight_line(e)
+        make += [f"    k{j}_{i} = {j - 1} if first{i}[{j - 1}] else {n + j - 1}" for j in reads]
+        for half, names, slots in (("v", f"_{i}", f"_{i}"), ("w", f"_{i}y", f"_{i} - {n}")):
+            *lines, result = source.format(names, slots).split("\n")
+            halves[half] += [f"        {line}" for line in lines] + [
+                f"        {half}{i} = {result}",
+                f"        if not _isfinite({half}{i}): raise EvalError(_NON_FINITE)"]
+    sums = ", ".join(f"v{i} + o{i}" for i in range(m))
+    src = make + kernel + halves["v"] + ["        if not both:", f"            return [{sums}]"]
+    src += halves["w"] + ["        return [" + sums + ", "
+                          + ", ".join(f"w{i} + (0.0 - o{i})" for i in range(m)) + "]",
+                          "    return kernel"]
+    return _compiled("\n".join(src))
+
+
+# the deepest an inlined expression nests; a deeper node gets a line of its own
+_INLINE_DEPTH = 32
+
+
+def _straight_line(e: Expr) -> tuple[list[int], str]:
+    """The program of e as a template of straight-line Python: (reads, source).
+
+    source is format-ready: {0} is a suffix for the names it assigns and {1}
+    one for the slots it reads, and its last line is the expression of e.
+    Each node is computed once, in the order evaluation first reaches it,
+    and variable x{j} is read as p[k{j}{1}].  A node used once is written
+    inline in the expression of its user; a node used twice or more, or
+    nested deeper than _INLINE_DEPTH, gets a line of its own that names it
+    x{j}{0} (a variable) or t{k}{0} (an op).  Before such a line, every
+    inline expression that evaluation reached earlier and that no user holds
+    yet gets a line too, so the lines run the nodes in program order.  reads
+    lists the indices j of the variables in that order.  The source holds
+    only node kinds, integers and the repr of finite floats.
+    """
+    nodes, (root,) = _program((e,))
+    uses = [0] * len(nodes)
+    uses[root] = 1
+    for node in nodes:
+        if node[0] == "t":
+            for a in node[3:]:
+                uses[a] += 1
+    texts: list[str] = []   # the name, literal or inline expression of each node
+    depth: list[int] = []   # how deep that expression nests; 0 for a name or literal
+    lines: list[str] = []
+    reads: list[int] = []
+    pending: list[int] = []  # the inline expressions no user holds yet, in program order
+    for k, (kind, *rest) in enumerate(nodes):
+        if kind == "c":
+            text = repr(rest[0])
+            texts.append(f"({text})" if text.startswith("-") else text)
+            depth.append(0)
+            continue
+        if kind == "x":
+            reads.append(rest[0])
+            texts.append(f"p[k{rest[0]}{{1}}]")
+            depth.append(1)
+            name = f"x{rest[0]}{{0}}"
+        else:
+            source, _, *args = rest
+            while pending and pending[-1] in args:  # a node's inline operands top the stack
+                pending.pop()
+            texts.append(f"({source.format(*map(texts.__getitem__, args))})")
+            depth.append(1 + max(map(depth.__getitem__, args)))
+            name = f"t{k}{{0}}"
+        pending.append(k)
+        if uses[k] > 1 or depth[k] > _INLINE_DEPTH:
+            for q in pending:
+                held = name if q == k else f"t{q}{{0}}"
+                lines.append(f"{held} = {texts[q]}")
+                texts[q], depth[q] = held, 0
+            pending.clear()
+    lines.append(texts[root])
+    return reads, "\n".join(lines)
+
+
+def _compiled(src: str) -> Callable:
+    """The function make that src defines, compiled with the helpers in scope."""
     namespace = dict(_HELPERS)
     exec(compile(src, "<mixedmono.expr>", "exec"), namespace)
     return namespace["make"]
@@ -576,7 +673,8 @@ def _max(u: float, v: float) -> float:
 
 _HELPERS = {"_short": _short, "_div": _div, "_pow": _pow, "_exp": _exp, "_sin": _sin,
             "_cos": _cos, "_sign": _sign, "_step": _step, "_jump": _jump, "_min": _min,
-            "_max": _max}
+            "_max": _max, "_isfinite": _isfinite, "_NON_FINITE": _NON_FINITE,
+            "EvalError": EvalError}
 
 
 # -- differentiation -------------------------------------------------------------

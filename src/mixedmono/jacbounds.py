@@ -9,8 +9,8 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from .errors import DimensionError, InvalidBoundsError
-from .expr import (Expr, checked, differentiate, lower_factory, lower_intervals, parse,
-                   variables)
+from .expr import (Expr, checked, differentiate, lower_decomposition, lower_factory,
+                   lower_intervals, parse, variables)
 from .interval import BoxDomain, Interval
 
 
@@ -18,10 +18,11 @@ from .interval import BoxDomain, Interval
 class VectorField:
     """f: R^n -> R^m given componentwise as expression trees over x1..xn.
 
-    The compiled factory of each component, the evaluators it binds, and
-    the Jacobian trees with their shared-node interval evaluator are built
-    on first use and kept on the instance.  It is the one owner of these
-    forms: jordan.ScalarFunction reads f, f' and f'' through one field each.
+    The compiled evaluator of each component, the compiled kernel of the
+    decompositions g of f, and the Jacobian trees with their shared-node
+    interval evaluator are built on first use and kept on the instance.  It
+    is the one owner of these forms: jordan.ScalarFunction reads f, f' and
+    f'' through one field each.
     """
 
     n: int
@@ -47,14 +48,18 @@ class VectorField:
         return len(self.components)
 
     @cached_property
-    def _factories(self) -> tuple[Callable, ...]:
-        """lower_factory of each component: the one compile of each tree."""
-        return tuple(lower_factory(c) for c in self.components)
-
-    @cached_property
     def compiled(self) -> tuple[Callable[[Sequence[float]], float], ...]:
         """Each component evaluated with the checks of compile_expr."""
-        return tuple(checked(make(range(self.n))) for make in self._factories)
+        return tuple(checked(lower_factory(c)(range(self.n))) for c in self.components)
+
+    @cached_property
+    def g_factory(self) -> Callable[[Sequence], Callable[[list[float], bool], list[float]]]:
+        """lower_decomposition of the components: the one compile of the kernel of g.
+
+        g_factory(rows) binds it to the rows (first, terms) of a
+        decomposition, so a new spec or a new box compiles nothing.
+        """
+        return lower_decomposition(self.components, self.n)
 
     @cached_property
     def jacobian(self) -> tuple[tuple[Expr, ...], ...]:
@@ -84,26 +89,6 @@ class VectorField:
             flat = [(a - slack, b + slack) for a, b in flat]
         n = self.n
         return [flat[k:k + n] for k in range(0, len(flat), n)]
-
-    def lowered(self, i: int, first: tuple[bool, ...]) -> tuple[Callable, Callable]:
-        """f_{i+1} bound onto a list x + y of 2n floats, once per (i, first).
-
-        The first function reads x_j where first[j] is true and y_j elsewhere;
-        the second reads the swapped slots, so it computes the same selection
-        from y + x.  Both bind the one factory of f_{i+1}, so no selector row
-        compiles anything.
-        """
-        pair = self._lowered.get((i, first))
-        if pair is None:
-            n, make = self.n, self._factories[i]
-            pair = self._lowered[(i, first)] = (
-                make(tuple(j if u else n + j for j, u in enumerate(first))),
-                make(tuple(n + j if u else j for j, u in enumerate(first))))
-        return pair
-
-    @cached_property
-    def _lowered(self) -> dict:
-        return {}
 
     def evaluate(self, point: Sequence[float]) -> list[float]:
         p = [float(v) for v in point]

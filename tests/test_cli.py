@@ -456,6 +456,19 @@ def test_exit_code_for_an_offset_that_overflows(capsys, cfg_file, command, box, 
     assert err == f"error: offset for f1/x1 overflows: |{end}| + epsilon is not finite\n"
 
 
+@pytest.mark.parametrize("depth", ["0", "3"])
+def test_exit_code_for_an_offset_sum_that_overflows(capsys, cfg_file, depth):
+    # the offset c = 2e307 + 1.5e308 is finite, but c * (x - y) over a box of
+    # width 2 is not: bound printed f1 ∈ [-inf, inf] at exit 0
+    text = _scalar("1e307*x1^2") + "\n[options]\nepsilon = 1.5e308\n"
+    rc, out, err = _run(capsys, ["bound", cfg_file(text), "--depth", depth])
+    assert (rc, out) == (2, "")
+    assert err == ("error: bracket for f1 overflows: f1 plus its offsets is not finite "
+                   "on the box\n")
+    rc, out, err = _run(capsys, ["reach", cfg_file(text)])
+    assert (rc, out, err) == (3, "", "error: state magnitude cap exceeded at t=0.001\n")
+
+
 @pytest.mark.parametrize("expr", ["step(x1) - step(x1-0.5)", "sign(x1)*sign(x1-0.5)"])
 @pytest.mark.parametrize("depth", ["0", "3"])
 def test_exit_code_for_jumps_of_both_signs(capsys, cfg_file, expr, depth):

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from mixedmono import (BoxDomain, DimensionError, Interval, UnboundedDerivativeError,
-                       VectorField, bound_box, build_decomposition, eval_decomposition,
-                       format_decomposition, jacobian_bounds, refine_bounds)
+                       VectorField, bound_box, build_decomposition, build_embedding,
+                       eval_decomposition, format_decomposition, integrate_embedding,
+                       jacobian_bounds, refine_bounds)
+from mixedmono.decomp import decomposition_kernel
 from conftest import box_samples, grid_points, ordered_pairs
 
 
@@ -225,8 +227,10 @@ def test_refine_unbounded_at_top_raises():
         refine_bounds(f, box, 2)
 
 
-def test_refine_compiles_each_component_once(monkeypatch):
-    # the selector rows of every box bind one compiled factory per component
+def test_one_compile_of_g_per_field(monkeypatch):
+    # two specs with different selectors, the boxes of a depth-4 refinement
+    # and 100 RK4 steps all bind the one kernel the field compiled; a kernel
+    # per selector pattern would compile again on many of them
     import builtins
     from mixedmono import expr
 
@@ -238,6 +242,14 @@ def test_refine_compiles_each_component_once(monkeypatch):
 
     monkeypatch.setattr(expr, "compile", counting, raising=False)
     f = VectorField.from_strings(["x1*x2 - sin(x1)", "abs(x2) - x1^2"], 2)
-    refine_bounds(f, BoxDomain.from_bounds([(-1.0, 2.0), (-2.0, 1.0)]), 4)
-    f.evaluate([0.5, 0.5])
-    assert len(sources) == 2
+    box = BoxDomain.from_bounds([(-1.0, 2.0), (-2.0, 1.0)])
+    spec = _spec_for(f, box)
+    other = _spec_for(f, BoxDomain.from_bounds([(-2.0, -0.5), (-1.0, -0.5)]))
+    assert spec.use_first != other.use_first
+    decomposition_kernel(spec, f)
+    decomposition_kernel(other, f)
+    refine_bounds(f, box, 4)
+    tube = integrate_embedding(build_embedding(f, spec), [-0.1, -0.1], [0.1, 0.1], 0.5,
+                               step=0.005)
+    assert len(tube.times) == 101
+    assert len(sources) == 1 and sources[0].startswith("def make(rows):")
