@@ -51,7 +51,7 @@ from .embed import build_embedding, integrate_embedding
 from .errors import (BlowupError, ConfigError, EvalError, NonConvergenceError, ParseError,
                      ToolkitError, UnboundedDerivativeError)
 from .interval import BoxDomain, Interval
-from .jacbounds import VectorField, classify, jacobian_bounds
+from .jacbounds import SignCase, VectorField, jacobian_bounds
 from .jordan import (DEFAULT_MAX_CELLS, MIN_CELLS, ScalarFunction, jordan_split, linspace,
                      total_variation)
 
@@ -216,6 +216,11 @@ def parse_config(path: str) -> RunConfig:
 # -- subcommands ----------------------------------------------------------------
 
 
+# the sign class of an entry from its row: (reads x, has an offset) -> case
+_CASES = {(True, False): SignCase.CASE1, (True, True): SignCase.CASE2,
+          (False, True): SignCase.CASE3, (False, False): SignCase.CASE4}
+
+
 def cmd_decompose(args) -> int:
     cfg = parse_config(args.config)
     opts = _merged(cfg.options, args)
@@ -224,12 +229,15 @@ def cmd_decompose(args) -> int:
     g_lines = format_decomposition(spec, cfg.field)
     csv = opts.fmt == "csv"
     out = ["i,j,a,b,case,z,alpha,beta,g"] if csv else []
-    for i in range(spec.m):
+    for i, (first, terms) in enumerate(spec.rows):
         g_expr = g_lines[i].split(" = ", 1)[1]
-        for j in range(spec.n):
-            iv = jb[i][j]
-            a, b, case = _fmt(iv.lo), _fmt(iv.hi), classify(iv.lo, iv.hi).value
-            z, alpha, beta = spec.selector(i, j), _fmt(spec.alpha[i][j]), _fmt(spec.beta[i][j])
+        offsets = dict(terms)
+        for j, (iv, use_x) in enumerate(zip(jb[i], first)):
+            a, b, c = _fmt(iv.lo), _fmt(iv.hi), offsets.get(j)
+            case = _CASES[use_x, c is not None].value
+            z = "x" if use_x else "y"
+            alpha = _fmt(c) if use_x and c is not None else "0"
+            beta = _fmt(-c) if not use_x and c is not None else "0"
             if csv:
                 out.append(f'{i + 1},{j + 1},{a},{b},{case},{z},{alpha},{beta},"{g_expr}"')
             else:

@@ -10,11 +10,14 @@ beta_ij = -(|b_ij| + eps) on CASE3 entries (else 0).  On the diagonal
 g(x, x) = f(x) exactly, g is nondecreasing in x and nonincreasing in y, and
 evaluating at opposite box corners brackets the range of f over the box.
 
-One kernel evaluates g.  VectorField.g_factory compiles f_1 .. f_m once per
-field into straight-line code (expr.lower_decomposition) that returns g(x, y)
-and g(y, x) together; decomposition_kernel binds it to a spec and _bracket to
-the rows of each box, and neither compiles anything.  eval_decomposition,
-bound_box, refine_bounds and the embedding system all run it.
+g has one form, its rows: _classified_row builds row i, (first, terms), from
+a box's enclosures, and a DecompositionSpec holds the rows of one box.  One
+kernel evaluates g.  VectorField.g_factory compiles f_1 .. f_m once per field
+into straight-line code (expr.lower_decomposition) that returns g(x, y) and
+g(y, x) together; decomposition_kernel binds it to the rows of a spec and
+_bracket to the rows of each box, and neither compiles anything.
+eval_decomposition, bound_box, refine_bounds and the embedding system all run
+it.
 """
 
 from __future__ import annotations
@@ -31,50 +34,41 @@ from .jacbounds import _CASE1, _CASE2, _CASE3, VectorField, classify
 
 @dataclass(frozen=True, eq=False)
 class DecompositionSpec:
-    """Per-entry argument selectors and offset vectors of a decomposition.
+    """The rows of a decomposition g, one (first, terms) per output f_i, as
+    _classified_row builds them.
 
-    Each matrix is m row tuples of n entries, indexed [i][j].
-    use_first[i][j] is True when row i feeds x_j (the first argument) into
-    f_i, False when it feeds y_j.  alpha is nonnegative, beta nonpositive;
-    both are zero on sign-stable entries.
+    first[j] is True when f_i reads x_{j+1}, False when it reads y_{j+1}.
+    terms lists the pairs (j, alpha_ij - beta_ij) of its sign-unstable
+    entries, j strictly increasing in 0..n-1 and each offset finite and
+    positive; hand-made rows that break this raise ValueError.
     """
 
-    use_first: tuple[tuple[bool, ...], ...]
-    alpha: tuple[tuple[float, ...], ...]   # >= 0
-    beta: tuple[tuple[float, ...], ...]    # <= 0
-    epsilon: float
+    rows: tuple[tuple[tuple[bool, ...], tuple[tuple[int, float], ...]], ...]
 
     def __post_init__(self):
-        uf = tuple(tuple(map(bool, row)) for row in self.use_first)
-        al = tuple(tuple(map(float, row)) for row in self.alpha)
-        be = tuple(tuple(map(float, row)) for row in self.beta)
-        if len({len(row) for row in uf + al + be}) != 1 or not len(uf) == len(al) == len(be):
-            raise DimensionError("selector and offset matrices must share an (m, n) shape")
-        # alpha - beta, the coefficient of x - y in g, is finite only where both are
-        if not all(math.isfinite(a - b) for ra, rb in zip(al, be) for a, b in zip(ra, rb)):
-            raise ValueError("offsets must be finite")
-        if any(v < 0.0 for row in al for v in row) or any(v > 0.0 for row in be for v in row):
-            raise ValueError("alpha must be nonnegative and beta nonpositive")
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise ValueError("epsilon must be finite and nonnegative")
-        object.__setattr__(self, "use_first", uf)
-        object.__setattr__(self, "alpha", al)
-        object.__setattr__(self, "beta", be)
+        rows = tuple((tuple(map(bool, first)), tuple((j, float(c)) for j, c in terms))
+                     for first, terms in self.rows)
+        if len({len(first) for first, _ in rows}) != 1:
+            raise ValueError("rows must select among one number n of arguments")
+        n = len(rows[0][0])
+        for _, terms in rows:
+            js = [j for j, _ in terms]
+            if any(not (isinstance(j, int) and 0 <= j < n) for j in js) or js != sorted(set(js)):
+                raise ValueError("term indices must increase strictly within 0..n-1")
+            if not all(0.0 < c < math.inf for _, c in terms):  # NaN fails too
+                raise ValueError("offsets must be finite and positive")
+        object.__setattr__(self, "rows", rows)
 
     @property
     def m(self) -> int:
-        return len(self.use_first)
+        return len(self.rows)
 
     @property
     def n(self) -> int:
-        return len(self.use_first[0])
-
-    def selector(self, i: int, j: int) -> str:
-        """'x' or 'y': which argument row i feeds into coordinate j (0-based)."""
-        return "x" if self.use_first[i][j] else "y"
+        return len(self.rows[0][0])
 
 
-def _classified_row(i: int, row, epsilon: float) -> tuple[tuple[bool, ...], list]:
+def _classified_row(i: int, row, epsilon: float) -> tuple[tuple[bool, ...], tuple]:
     """Selectors and offset terms of row i (0-based) of g, from the enclosures
     (a, b) of df_i/dx_1 .. df_i/dx_n.
 
@@ -98,12 +92,12 @@ def _classified_row(i: int, row, epsilon: float) -> tuple[tuple[bool, ...], list
                     f"offset for f{i + 1}/x{j + 1} overflows: |{end}| + epsilon is not finite")
             terms.append((j, c))
         first.append(case is _CASE1 or case is _CASE2)
-    return tuple(first), terms
+    return tuple(first), tuple(terms)
 
 
 def build_decomposition(jb: list[list[Interval]], epsilon: float = 0.0) -> DecompositionSpec:
-    """Classify every enclosure of jb, the rows of jacobian_bounds, and
-    assemble selectors and offsets.
+    """The rows of g from jb, the enclosures of jacobian_bounds: one pass of
+    _classified_row per row of jb.
 
     Raises UnboundedDerivativeError naming the first (-inf, inf) entry or
     overflowing offset, and propagates InvalidBoundsError from enclosures
@@ -111,19 +105,8 @@ def build_decomposition(jb: list[list[Interval]], epsilon: float = 0.0) -> Decom
     """
     if not (math.isfinite(epsilon) and epsilon >= 0.0):
         raise ValueError("epsilon must be finite and nonnegative")
-    use_first, alpha, beta = [], [], []
-    for i, entries in enumerate(jb):
-        first, terms = _classified_row(i, [(iv.lo, iv.hi) for iv in entries], epsilon)
-        al, be = [0.0] * len(entries), [0.0] * len(entries)
-        for j, c in terms:
-            if first[j]:
-                al[j] = c
-            else:
-                be[j] = -c
-        use_first.append(first)
-        alpha.append(al)
-        beta.append(be)
-    return DecompositionSpec(use_first, alpha, beta, float(epsilon))
+    return DecompositionSpec(tuple(_classified_row(i, [(iv.lo, iv.hi) for iv in entries], epsilon)
+                                   for i, entries in enumerate(jb)))
 
 
 def decomposition_kernel(spec: DecompositionSpec,
@@ -133,19 +116,16 @@ def decomposition_kernel(spec: DecompositionSpec,
     kernel(p, both) takes p = x + y, a list of 2n floats, and returns the list
     [g_1(x, y), .., g_m(x, y)], followed by [g_1(y, x), .., g_m(y, x)] when
     both is true.  It is the field's one compiled kernel (f.g_factory, see
-    expr.lower_decomposition) bound to the rows of spec, so no spec
-    compiles anything: each f_i reads its arguments straight from p through
-    the slots its selectors pick, and its offset sum over x - y runs over
-    the nonzero alpha_ij - beta_ij in increasing j.  Raises EvalError when
-    an entry of p or a value of f_i is not finite.
+    expr.lower_decomposition) bound to spec.rows, so no spec compiles
+    anything: each f_i reads its arguments straight from p through the
+    slots its selectors pick, and its offset sum over x - y runs over its
+    terms in increasing j.  Raises DimensionError when the shape of spec is
+    not that of f, and EvalError when an entry of p or a value of f_i is not
+    finite.
     """
     if spec.m != f.m or spec.n != f.n:
         raise DimensionError("decomposition shape does not match the field")
-    rows = []
-    for first, al, be in zip(spec.use_first, spec.alpha, spec.beta):
-        coef = [a - b for a, b in zip(al, be)]
-        rows.append((first, [(j, c) for j, c in enumerate(coef) if c != 0.0]))
-    return f.g_factory(rows)
+    return f.g_factory(spec.rows)
 
 
 def eval_decomposition(spec: DecompositionSpec, f: VectorField, x, y) -> list[float]:
@@ -163,14 +143,16 @@ def bound_box(spec: DecompositionSpec, f: VectorField, box: BoxDomain) -> list[I
     """Range bracket of f over the box: component i is [g_i(lo, hi), g_i(hi, lo)].
 
     The decomposition must have been built from an enclosure valid on this
-    box (or a superset); that is the caller's obligation.  No command calls
-    it: perfbench/layers.py traces decomp.bound_box by name, and its --trace
-    run fails with AttributeError without it.
+    box (or a superset); that is the caller's obligation.  Raises
+    UnboundedDerivativeError where an endpoint overflows, as refine_bounds
+    does: both check the bracket in _checked_bracket.  No command calls it:
+    perfbench/layers.py traces decomp.bound_box by name, and its --trace run
+    fails with AttributeError without it.
     """
     if box.n != f.n:
         raise DimensionError(f"arguments must have {f.n} entries")
     g = decomposition_kernel(spec, f)(box.lower_corner() + box.upper_corner(), True)
-    return [Interval(a, b) for a, b in zip(g[:f.m], g[f.m:])]
+    return [Interval(a, b) for a, b in _checked_bracket(g, f.m)]
 
 
 def refine_bounds(f: VectorField, box: BoxDomain, depth: int, epsilon: float = 0.0,
@@ -239,15 +221,19 @@ def _refine(f: VectorField, lo: list[float], hi: list[float], depth: int, epsilo
 
 def _bracket(f: VectorField, lo: list[float], hi: list[float], epsilon: float,
              slack: float) -> list[tuple[float, float]]:
-    """Depth-0 bracket endpoints over the box [lo, hi].
+    """Depth-0 bracket endpoints over the box [lo, hi]."""
+    rows = [_classified_row(i, row, epsilon)
+            for i, row in enumerate(f.jacobian_ranges(lo, hi, slack))]
+    return _checked_bracket(f.g_factory(rows)(lo + hi, True), f.m)
+
+
+def _checked_bracket(g: list[float], m: int) -> list[tuple[float, float]]:
+    """The endpoint pairs (g_i(lo, hi), g_i(hi, lo)) of the kernel output g.
 
     Raises UnboundedDerivativeError where an endpoint is not finite: each
     value of f_i is finite there, so its offset sum overflowed.
     """
-    rows = [_classified_row(i, row, epsilon)
-            for i, row in enumerate(f.jacobian_ranges(lo, hi, slack))]
-    g = f.g_factory(rows)(lo + hi, True)
-    bracket = list(zip(g[:f.m], g[f.m:]))
+    bracket = list(zip(g[:m], g[m:]))
     for i, (a, b) in enumerate(bracket):
         if not (math.isfinite(a) and math.isfinite(b)):
             raise UnboundedDerivativeError(i + 1, None, f"bracket for f{i + 1} overflows: "
@@ -262,17 +248,14 @@ def _fmt_coeff(c: float) -> str:
 def format_decomposition(spec: DecompositionSpec, f: VectorField) -> list[str]:
     """Closed-form g_i as expression strings over x1..xn and y1..yn."""
     lines = []
-    for i, comp in enumerate(f.components):
-        row = spec.use_first[i]
+    for i, (comp, (first, terms)) in enumerate(zip(f.components, spec.rows)):
 
-        def name(index: int, row=row) -> str:
-            return f"x{index}" if row[index - 1] else f"y{index}"
+        def name(index: int, first=first) -> str:
+            return f"x{index}" if first[index - 1] else f"y{index}"
 
         s = to_string(comp, var_names=name)
-        for j in range(spec.n):
-            c = spec.alpha[i][j] - spec.beta[i][j]
-            if c != 0.0:
-                cs = _fmt_coeff(c)
-                s += f" + {cs}*x{j + 1} - {cs}*y{j + 1}"
+        for j, c in terms:
+            cs = _fmt_coeff(c)
+            s += f" + {cs}*x{j + 1} - {cs}*y{j + 1}"
         lines.append(f"g{i + 1} = {s}")
     return lines

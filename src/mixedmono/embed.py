@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 from .errors import BlowupError, DimensionError, EvalError
@@ -42,13 +41,12 @@ class EmbeddingSystem:
     field: VectorField
     spec: DecompositionSpec
 
+    def __post_init__(self):
+        self._kernel = decomposition_kernel(self.spec, self.field)
+
     @property
     def n(self) -> int:
         return self.field.n
-
-    @cached_property
-    def _kernel(self):
-        return decomposition_kernel(self.spec, self.field)
 
     def rhs(self, state: Sequence[float]) -> list[float]:
         """g(x, y) followed by g(y, x), for state = x + y, a sequence of 2n floats."""
@@ -60,8 +58,6 @@ class EmbeddingSystem:
 def build_embedding(f: VectorField, spec: DecompositionSpec) -> EmbeddingSystem:
     if f.m != f.n:
         raise DimensionError(f"embedding needs a square field, got m={f.m}, n={f.n}")
-    if spec.m != f.m or spec.n != f.n:
-        raise DimensionError("decomposition shape does not match the field")
     return EmbeddingSystem(f, spec)
 
 

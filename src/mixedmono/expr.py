@@ -419,9 +419,10 @@ def lower_decomposition(trees: Sequence[Expr], n: int) -> Callable[[Sequence], C
     """Compile once the kernel of g(x, y) = f(z) + c . (x - y), f_1 .. f_m being trees.
 
     factory(rows) binds the kernel to the rows of one decomposition, without
-    compiling: row i is (first, terms), where first[j] is true when f_i
-    reads x_{j+1} (false: y_{j+1}), and terms lists the pairs (j, c_ij) of
-    its nonzero offsets, in increasing j.
+    compiling.  The rows have the one form of g that decomp._classified_row
+    builds and DecompositionSpec.rows holds: row i is (first, terms), where
+    first[j] is true when f_i reads x_{j+1} (false: y_{j+1}), and terms
+    lists the pairs (j, c_ij) of its nonzero offsets, in increasing j.
 
     kernel(p, both) takes p = x + y, a list of exactly 2n floats, and
     returns [g_1(x, y), .., g_m(x, y)], followed by [g_1(y, x), ..,
@@ -715,7 +716,7 @@ def _mul(a: Expr, b: Expr) -> Expr:
     return Binary("mul", a, b)
 
 
-def _pow(a: Expr, n: int) -> Expr:
+def _power(a: Expr, n: int) -> Expr:
     if n == 0:
         return _ONE
     if n == 1:
@@ -749,7 +750,7 @@ def differentiate(e: Expr, j: int) -> Expr:
         return _ONE if e.index == j else _ZERO
     if isinstance(e, Power):
         du = differentiate(e.base, j)
-        d = _mul(_mul(Const(float(e.exponent)), _pow(e.base, e.exponent - 1)), du)
+        d = _mul(_mul(Const(float(e.exponent)), _power(e.base, e.exponent - 1)), du)
         return Binary("sub", d, _zero_crossing(e.base)) if e.exponent < 0 else d
     if isinstance(e, Unary):
         du = differentiate(e.arg, j)
@@ -780,7 +781,7 @@ def differentiate(e: Expr, j: int) -> Expr:
             da = differentiate(e.left, j)
             db = differentiate(e.right, j)
             num = _sub(_mul(da, e.right), _mul(e.left, db))
-            return Binary("sub", Binary("div", num, _pow(e.right, 2)), _zero_crossing(e.right))
+            return Binary("sub", Binary("div", num, _power(e.right, 2)), _zero_crossing(e.right))
         if e.op in ("min", "max"):
             da = differentiate(e.left, j)
             db = differentiate(e.right, j)

@@ -150,6 +150,32 @@ def test_decompose_csv_schema(capsys, cfg_file):
     assert lines[1] == '1,1,-2,2,case2,x,2,0,"x1^2 + 2*x1 - 2*y1"'
 
 
+def test_decompose_prints_all_four_cases(capsys, cfg_file):
+    # each printed column comes from the row of g: a selector and, where the
+    # entry is sign-unstable, an offset; an entry with none prints 0, not -0
+    path = cfg_file('[system]\ndim = 2\nf1 = "x1^2 + x2"\nf2 = "-x1 - x2^2"\n\n'
+                    '[domain]\nx1 = [-1, 2]\nx2 = [-1, 2]\n')
+    rc, out, err = _run(capsys, ["decompose", path])
+    assert (rc, err) == (0, "")
+    assert out.splitlines() == [
+        "f1/x1: a=-2 b=4 case=case2 z=x alpha=2 beta=0",
+        "f1/x2: a=0.999999999 b=1 case=case1 z=x alpha=0 beta=0",
+        "g1 = x1^2 + x2 + 2*x1 - 2*y1",
+        "f2/x1: a=-1 b=-0.999999999 case=case4 z=y alpha=0 beta=0",
+        "f2/x2: a=-4 b=2 case=case3 z=y alpha=0 beta=-2",
+        "g2 = -y1 - y2^2 + 2*x2 - 2*y2",
+    ]
+    rc, out, err = _run(capsys, ["decompose", path, "--format", "csv"])
+    assert (rc, err) == (0, "")
+    assert out.splitlines() == [
+        "i,j,a,b,case,z,alpha,beta,g",
+        '1,1,-2,4,case2,x,2,0,"x1^2 + x2 + 2*x1 - 2*y1"',
+        '1,2,0.999999999,1,case1,x,0,0,"x1^2 + x2 + 2*x1 - 2*y1"',
+        '2,1,-1,-0.999999999,case4,y,0,0,"-y1 - y2^2 + 2*x2 - 2*y2"',
+        '2,2,-4,2,case3,y,0,-2,"-y1 - y2^2 + 2*x2 - 2*y2"',
+    ]
+
+
 # -- bound -------------------------------------------------------------------------
 
 def test_bound_square_depths(capsys, cfg_file):

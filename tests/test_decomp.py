@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from mixedmono import (BoxDomain, DimensionError, Interval, UnboundedDerivativeError,
-                       VectorField, bound_box, build_decomposition, build_embedding,
-                       eval_decomposition, format_decomposition, integrate_embedding,
-                       jacobian_bounds, refine_bounds)
+from mixedmono import (BoxDomain, DecompositionSpec, DimensionError, Interval,
+                       UnboundedDerivativeError, VectorField, bound_box, build_decomposition,
+                       build_embedding, eval_decomposition, format_decomposition,
+                       integrate_embedding, jacobian_bounds, refine_bounds)
 from mixedmono.decomp import decomposition_kernel
 from conftest import box_samples, grid_points, ordered_pairs
 
@@ -23,8 +23,7 @@ def test_square_construction():
     f = VectorField.from_strings(["x1^2"], 1)
     box = BoxDomain.from_bounds([(-1, 1)])
     spec = _spec_for(f, box, slack=0.0)
-    assert spec.selector(0, 0) == "x"
-    assert spec.alpha[0][0] == 2.0 and spec.beta[0][0] == 0.0
+    assert spec.rows == (((True,), ((0, 2.0),)),)
     assert format_decomposition(spec, f) == ["g1 = x1^2 + 2*x1 - 2*y1"]
     assert eval_decomposition(spec, f, [0.5], [0.5])[0] == pytest.approx(0.25)
     assert eval_decomposition(spec, f, [1.0], [-1.0])[0] == pytest.approx(5.0)
@@ -36,8 +35,7 @@ def test_negation_construction():
     f = VectorField.from_strings(["-x1"], 1)
     box = BoxDomain.from_bounds([(0, 1)])
     spec = _spec_for(f, box)
-    assert spec.selector(0, 0) == "y"
-    assert spec.alpha[0][0] == 0.0 and spec.beta[0][0] == 0.0
+    assert spec.rows == (((False,), ()),)
     assert format_decomposition(spec, f) == ["g1 = -y1"]
     assert bound_box(spec, f, box) == [Interval(-1.0, 0.0)]
 
@@ -46,8 +44,8 @@ def test_linear_2d_construction():
     f = VectorField.from_strings(["-x1 + x2", "x1 - x2"], 2)
     box = BoxDomain.from_bounds([(0, 1), (0, 1)])
     spec = _spec_for(f, box)
+    assert spec.rows == (((False, True), ()), ((True, False), ()))
     assert format_decomposition(spec, f) == ["g1 = -y1 + x2", "g2 = x1 - y2"]
-    assert np.all(np.asarray(spec.alpha) == 0.0) and np.all(np.asarray(spec.beta) == 0.0)
     lo, hi = bound_box(spec, f, box)
     assert lo == Interval(-1.0, 1.0) and hi == Interval(-1.0, 1.0)
 
@@ -66,6 +64,30 @@ def test_epsilon_validation():
     jb = jacobian_bounds(f, BoxDomain.from_bounds([(-1, 1)]))
     with pytest.raises(ValueError):
         build_decomposition(jb, epsilon=-1.0)
+
+
+@pytest.mark.parametrize("rows", [
+    (((True,), ((0, 0.0),)),),                 # an offset must be positive
+    (((True,), ((0, -1.0),)),),
+    (((True,), ((0, math.inf),)),),            # and finite
+    (((True,), ((0, math.nan),)),),
+    (((True, False), ((2, 1.0),)),),           # a term index must be below n
+    (((True, False), ((-1, 1.0),)),),          # and nonnegative
+    (((True, False), ((0.5, 1.0),)),),         # and whole
+    (((True, False), ((1, 1.0), (0, 1.0))),),  # and increase strictly
+    (((True, False), ((0, 1.0), (0, 1.0))),),
+    (((True, False), ()), ((True,), ())),      # every first has one length n
+    (),
+])
+def test_hand_made_rows_are_checked(rows):
+    with pytest.raises(ValueError):
+        DecompositionSpec(rows)
+
+
+def test_hand_made_rows_are_held_as_tuples():
+    spec = DecompositionSpec([[[1, 0], [[1, 3]]]])
+    assert spec.rows == (((True, False), ((1, 3.0),)),)
+    assert (spec.m, spec.n) == (1, 2)
 
 
 def test_dimension_checks():
@@ -105,9 +127,10 @@ def test_case_stable_entries_have_zero_offsets(corpus):
     for entry in corpus:
         if not entry.sign_stable:
             continue
-        spec = _spec_for(entry.field, entry.box)
-        assert np.all(np.asarray(spec.alpha) == 0.0) and np.all(np.asarray(spec.beta) == 0.0), \
-            entry.name
+        jb = jacobian_bounds(entry.field, entry.box)
+        # each sign-stable entry reads x where it is nonnegative, y where not
+        assert build_decomposition(jb).rows == tuple(
+            (tuple(iv.lo >= 0.0 for iv in row), ()) for row in jb), entry.name
 
 
 # -- bounds ------------------------------------------------------------------------
@@ -146,6 +169,17 @@ def test_degenerate_box_bound_is_point():
     iv = bound_box(spec, f, box)[0]
     v = 0.7 * math.sin(0.7)
     assert iv.lo == iv.hi == pytest.approx(v)
+
+
+def test_bound_box_refuses_a_bracket_that_overflows():
+    # the offset 2e307 + 1.5e308 is finite, its product with x - y is not;
+    # bound_box returned [Interval(-inf, inf)] where refine_bounds raises
+    f = VectorField.from_strings(["1e307*x1^2"], 1)
+    box = BoxDomain.from_bounds([(-1, 1)])
+    spec = _spec_for(f, box, epsilon=1.5e308)
+    for bracket in (lambda: bound_box(spec, f, box), lambda: refine_bounds(f, box, 0, 1.5e308)):
+        with pytest.raises(UnboundedDerivativeError, match="bracket for f1 overflows"):
+            bracket()
 
 
 def test_epsilon_widens_bounds():
@@ -245,7 +279,9 @@ def test_one_compile_of_g_per_field(monkeypatch):
     box = BoxDomain.from_bounds([(-1.0, 2.0), (-2.0, 1.0)])
     spec = _spec_for(f, box)
     other = _spec_for(f, BoxDomain.from_bounds([(-2.0, -0.5), (-1.0, -0.5)]))
-    assert spec.use_first != other.use_first
+    assert [(first, [j for j, _ in terms]) for first, terms in spec.rows] == \
+        [((False, True), [0, 1]), ((False, True), [0, 1])]
+    assert other.rows == (((False, False), ()), ((True, False), ()))
     decomposition_kernel(spec, f)
     decomposition_kernel(other, f)
     refine_bounds(f, box, 4)

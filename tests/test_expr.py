@@ -1,6 +1,8 @@
 """Expression parsing, printing, evaluation, differentiation, interval extension."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,28 @@ from mixedmono import (Binary, BoxDomain, Const, DimensionError, EvalError, Inte
 from mixedmono import expr
 
 PI = math.pi
+
+
+def _top_level_names(tree: ast.Module):
+    """Each name a module's own statements bind, once per binding."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+
+
+def test_no_module_binds_a_top_level_name_twice():
+    # a second binding shadows the first for every reader after it: expr's
+    # Expr builder _pow once shadowed its float helper of the same name
+    twice = []
+    for path in sorted(Path(expr.__file__).parent.glob("*.py")):
+        names = list(_top_level_names(ast.parse(path.read_text(encoding="utf-8"))))
+        twice += [f"{path.stem}.{name}" for name in sorted(set(names)) if names.count(name) > 1]
+    assert twice == []
 
 
 # -- parsing ---------------------------------------------------------------------

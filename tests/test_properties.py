@@ -162,12 +162,11 @@ def test_compiled_evaluation_of_deep_trees():
 def _decomposed_fields(draw):
     n = draw(st.integers(1, N))
     field = VectorField(n, tuple(draw(_TREES[n]) for _ in range(n)))
-    flags = st.lists(st.booleans(), min_size=n * n, max_size=n * n)
-    offsets = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 5.0)), min_size=n * n,
-                       max_size=n * n)
-    spec = DecompositionSpec(np.reshape(draw(flags), (n, n)),
-                             np.reshape(draw(offsets), (n, n)),
-                             -np.reshape(draw(offsets), (n, n)), 0.0)
+    firsts = st.lists(st.booleans(), min_size=n, max_size=n).map(tuple)
+    offsets = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 10.0)), min_size=n, max_size=n)
+    spec = DecompositionSpec(tuple(
+        (draw(firsts), tuple((j, c) for j, c in enumerate(draw(offsets)) if c != 0.0))
+        for _ in range(n)))
     x = draw(st.lists(_coords, min_size=n, max_size=n))
     y = draw(st.lists(_coords, min_size=n, max_size=n))
     return field, spec, x, y
@@ -178,9 +177,9 @@ def _decomposed_fields(draw):
 # f_i and the offset sum are both zero: -0.0 + 0.0 is 0.0 in each half, where
 # an offset subtracted for g(y, x), or a sum not started at 0.0, gives -0.0
 @example((VectorField(1, (Unary("neg", Var(1)),)),
-          DecompositionSpec([[True]], [[1.0]], [[-1.0]], 0.0), [0.0], [0.0]))
+          DecompositionSpec((((True,), ((0, 2.0),)),)), [0.0], [0.0]))
 @example((VectorField(1, (Var(1),)),
-          DecompositionSpec([[True]], [[1.0]], [[-1.0]], 0.0), [-0.0], [0.0]))
+          DecompositionSpec((((True,), ((0, 2.0),)),)), [-0.0], [0.0]))
 def test_embedding_rhs_is_both_decompositions_bit_for_bit(case):
     # both halves of rhs against the fold of the definition; _outcome compares
     # repr, so the sign of a zero counts
@@ -194,13 +193,15 @@ def test_embedding_rhs_is_both_decompositions_bit_for_bit(case):
 
 
 def _g_reference(spec, f, x, y):
-    """f_i(z) + (alpha_i - beta_i) . (x - y), summed in index order."""
+    """f_i(z) + c_i . (x - y), summed over every j in index order, c_ij = 0
+    where row i has no term j."""
     out = []
-    for i, comp in enumerate(f.components):
-        z = [xj if first else yj for xj, yj, first in zip(x, y, spec.use_first[i])]
+    for comp, (first, terms) in zip(f.components, spec.rows):
+        z = [xj if use_x else yj for xj, yj, use_x in zip(x, y, first)]
+        c = dict(terms)
         off = 0.0
         for j in range(f.n):
-            off += float(spec.alpha[i][j] - spec.beta[i][j]) * (x[j] - y[j])
+            off += c.get(j, 0.0) * (x[j] - y[j])
         out.append(_reference(comp, z) + off)
     return out
 
