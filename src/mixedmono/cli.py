@@ -23,15 +23,17 @@ Config layout::
 All [options] keys are optional; the flag that overrides a key is checked
 exactly like it.  An expression may nest at most expr.MAX_NESTING = 100
 levels deep, and bound --check refuses a grid of more than 2^MAX_DEPTH
-points (it has at least 2 per axis, so at most 20 axes).  tv takes
---max-cells from 32 to 2^20 and --grid from 2 to MAX_STEPS = 10^6 points,
-the cap on reach's steps.  Exit codes: 0 success, 1 config or usage error,
-or stdout closed before the output was written (a broken pipe, as in
-`mixedmono tv ... | head -1`), 2 unbounded derivative enclosure or an
-offset |a| + epsilon that overflows, 3 integration blowup, 4
-non-convergence, 5 an evaluation error (division by zero, overflow, sin or
-cos of an infinity, a non-finite intermediate) at a point the command
-evaluates.
+points (it has at least 2 per axis, so at most 20 axes).  reach refuses
+an --x0-lo/--x0-hi box that is not inside [domain], where g was built.  tv
+takes --max-cells from 32 to 2^20 and --grid from 2 to MAX_STEPS = 10^6
+points, the cap on reach's steps, and refuses --a/--b without --expr: a
+config's interval is its [domain].  Exit codes: 0 success, 1 config or
+usage error (each refusal above among them), or stdout closed before the
+output was written (a broken pipe, as in `mixedmono tv ... | head -1`), 2
+unbounded derivative enclosure or an offset |a| + epsilon that overflows,
+3 integration blowup, 4 non-convergence, 5 an evaluation error (division
+by zero, overflow, sin or cos of an infinity, a non-finite intermediate)
+at a point the command evaluates.
 """
 
 from __future__ import annotations
@@ -316,6 +318,9 @@ def cmd_reach(args) -> int:
     x_hi = cfg.domain.upper_corner() if args.x0_hi is None else _parse_vector("--x0-hi", args.x0_hi, n)
     if any(a > b for a, b in zip(x_lo, x_hi)):
         raise ConfigError("initial box needs x0-lo <= x0-hi componentwise")
+    # g's rows hold only on the box they were built on
+    if not all(d.lo <= a and b <= d.hi for d, a, b in zip(cfg.domain.intervals, x_lo, x_hi)):
+        raise ConfigError("initial box must lie inside [domain]")
 
     jb = jacobian_bounds(cfg.field, cfg.domain, slack=opts.slack)
     spec = build_decomposition(jb, opts.epsilon)
@@ -360,6 +365,8 @@ def cmd_tv(args) -> int:
     else:
         if args.config is None:
             raise ConfigError("tv needs a config file or --expr with --a/--b")
+        if args.a is not None or args.b is not None:
+            raise ConfigError("--a and --b go with --expr; a config's interval is its [domain]")
         cfg = parse_config(args.config)
         if cfg.dim != 1 or cfg.field.m != 1:
             raise ConfigError("tv needs a scalar config: dim = 1 and a single f1")

@@ -342,7 +342,8 @@ def variables(e: Expr) -> set[int]:
 _isfinite = math.isfinite
 # the helpers of sign, step, jump, min, max, exp, div (its divisor) and a power
 # with exponent <= 0, which can map an infinity or a NaN to a finite value,
-# raise this where such an operand is not finite, as checked does for the value
+# raise this where such an operand is not finite, as compile_expr does for
+# the final value
 _NON_FINITE = "non-finite value during evaluation"
 
 
@@ -358,20 +359,31 @@ def evaluate(e: Expr, point: Sequence[float]) -> float:
 
 
 def compile_expr(e: Expr) -> Callable[[Sequence[float]], float]:
-    """The checked evaluator of e: x{k+1} reads entry k of the point.
+    """The checked evaluator of e: x{j} reads entry j - 1 of the point.
 
-    Generates and compiles e once, by lower_factory bound to the slots
-    0 .. n-1, n the highest variable index of e.  The evaluator raises
-    EvalError for a non-finite point entry, division by zero, zero to a
-    negative power, power or exp overflow, sin or cos of an infinity, and a
-    non-finite value, final or one that a later node would hide, and
-    DimensionError when the point has too few entries.
+    Generates e once as straight-line Python, each variable's entry written
+    in as a constant, and compiles it.  The generated function runs the
+    program of _program as _straight_line writes it: each node once, in the
+    order evaluation first reaches it, so its source nests no deeper than
+    _INLINE_DEPTH for a deeper tree, a subtree that occurs twice is computed
+    once, and the first failing node raises.  + - * neg abs are inlined, and
+    the other ops call helpers that raise EvalError.
+
+    The evaluator raises EvalError for a non-finite point entry, division by
+    zero, zero to a negative power, power or exp overflow, sin or cos of an
+    infinity, and a non-finite value, final or one that a later node would
+    hide, and DimensionError, where evaluation first reaches a variable the
+    point has no entry for.
     """
-    return checked(lower_factory(e)(range(max(variables(e), default=0))))
-
-
-def checked(run: Callable[[Sequence[float]], float]) -> Callable[[Sequence[float]], float]:
-    """run, an evaluator bound by lower_factory, with the finiteness checks of compile_expr."""
+    reads, source = _straight_line(e)
+    *lines, result = source.format("", {j: j - 1 for j in reads}).split("\n")
+    src = "\n".join(
+        ["def run(p):", "    try:"]
+        + [f"        {line}" for line in lines]
+        + [f"        return {result}",
+           "    except IndexError:",
+           f"        raise _short(p, {tuple(reads)}) from None"])
+    run = _compiled(src, "run")
 
     def compiled(p: Sequence[float]) -> float:
         if not all(map(_isfinite, p)):
@@ -382,37 +394,6 @@ def checked(run: Callable[[Sequence[float]], float]) -> Callable[[Sequence[float
         return v
 
     return compiled
-
-
-def lower_factory(e: Expr) -> Callable[[Sequence[int]], Callable[[Sequence[float]], float]]:
-    """Compile e once into straight-line Python; factory(slots) binds it to a slot tuple.
-
-    The bound function computes e at p, without the checks of compile_expr
-    on p and on the final value: x{j} reads p[slots[j - 1]], so that one
-    list can feed a tree whose variables are picked from any of its
-    entries, and one compile serves every slot tuple.
-
-    The generated function runs the program of _program as _straight_line
-    writes it: each node once, in the order evaluation first reaches it, so
-    its source nests no deeper than _INLINE_DEPTH for a deeper tree, a
-    subtree that occurs twice is computed once, and the first failing node
-    raises.  Each variable is read from p once, where evaluation first
-    reaches it, and a point too short for it raises DimensionError there.
-    + - * neg abs are inlined, and the other ops call helpers that raise
-    EvalError.
-    """
-    reads, source = _straight_line(e)
-    *lines, result = source.format("", "").split("\n")
-    src = "\n".join(
-        ["def make(slots):"]
-        + [f"    k{j} = slots[{j - 1}]" for j in reads]
-        + ["    def run(p):", "        try:"]
-        + [f"            {line}" for line in lines]
-        + [f"            return {result}",
-           "        except IndexError:",
-           f"            raise _short(p, ({''.join(f'({j}, k{j}), ' for j in reads)})) from None",
-           "    return run"])
-    return _compiled(src)
 
 
 def lower_decomposition(trees: Sequence[Expr], n: int) -> Callable[[Sequence], Callable]:
@@ -451,7 +432,8 @@ def lower_decomposition(trees: Sequence[Expr], n: int) -> Callable[[Sequence], C
     for i, e in enumerate(trees):
         reads, source = _straight_line(e)
         make += [f"    k{j}_{i} = {j - 1} if first{i}[{j - 1}] else {n + j - 1}" for j in reads]
-        for half, names, slots in (("v", f"_{i}", f"_{i}"), ("w", f"_{i}y", f"_{i} - {n}")):
+        for half, names, shift in (("v", f"_{i}", ""), ("w", f"_{i}y", f" - {n}")):
+            slots = {j: f"k{j}_{i}{shift}" for j in reads}
             *lines, result = source.format(names, slots).split("\n")
             halves[half] += [f"        {line}" for line in lines] + [
                 f"        {half}{i} = {result}",
@@ -461,7 +443,7 @@ def lower_decomposition(trees: Sequence[Expr], n: int) -> Callable[[Sequence], C
     src += halves["w"] + ["        return [" + sums + ", "
                           + ", ".join(f"w{i} + (0.0 - o{i})" for i in range(m)) + "]",
                           "    return kernel"]
-    return _compiled("\n".join(src))
+    return _compiled("\n".join(src), "make")
 
 
 # the deepest an inlined expression nests; a deeper node gets a line of its own
@@ -472,16 +454,17 @@ def _straight_line(e: Expr) -> tuple[list[int], str]:
     """The program of e as a template of straight-line Python: (reads, source).
 
     source is format-ready: {0} is a suffix for the names it assigns and {1}
-    one for the slots it reads, and its last line is the expression of e.
-    Each node is computed once, in the order evaluation first reaches it,
-    and variable x{j} is read as p[k{j}{1}].  A node used once is written
-    inline in the expression of its user; a node used twice or more, or
-    nested deeper than _INLINE_DEPTH, gets a line of its own that names it
-    x{j}{0} (a variable) or t{k}{0} (an op).  Before such a line, every
-    inline expression that evaluation reached earlier and that no user holds
-    yet gets a line too, so the lines run the nodes in program order.  reads
-    lists the indices j of the variables in that order.  The source holds
-    only node kinds, integers and the repr of finite floats.
+    maps each variable index j to the expression of the slot of p it reads,
+    and its last line is the expression of e.  Each node is computed once,
+    in the order evaluation first reaches it, and variable x{j} is read as
+    p[{1[j]}].  A node used once is written inline in the expression of its
+    user; a node used twice or more, or nested deeper than _INLINE_DEPTH,
+    gets a line of its own that names it x{j}{0} (a variable) or t{k}{0} (an
+    op).  Before such a line, every inline expression that evaluation reached
+    earlier and that no user holds yet gets a line too, so the lines run the
+    nodes in program order.  reads lists the indices j of the variables in
+    that order.  The source holds only node kinds, integers and the repr of
+    finite floats.
     """
     nodes, (root,) = _program((e,))
     uses = [0] * len(nodes)
@@ -503,7 +486,7 @@ def _straight_line(e: Expr) -> tuple[list[int], str]:
             continue
         if kind == "x":
             reads.append(rest[0])
-            texts.append(f"p[k{rest[0]}{{1}}]")
+            texts.append(f"p[{{1[{rest[0]}]}}]")
             depth.append(1)
             name = f"x{rest[0]}{{0}}"
         else:
@@ -524,11 +507,11 @@ def _straight_line(e: Expr) -> tuple[list[int], str]:
     return reads, "\n".join(lines)
 
 
-def _compiled(src: str) -> Callable:
-    """The function make that src defines, compiled with the helpers in scope."""
+def _compiled(src: str, name: str) -> Callable:
+    """The function name that src defines, compiled with the helpers in scope."""
     namespace = dict(_HELPERS)
     exec(compile(src, "<mixedmono.expr>", "exec"), namespace)
-    return namespace["make"]
+    return namespace[name]
 
 
 def _program(trees: Sequence[Expr]) -> tuple[list[tuple], list[int]]:
@@ -592,11 +575,11 @@ _BINARY = {"add": ("{} + {}", iv_add), "sub": ("{} - {}", iv_sub), "mul": ("{} *
            "max": ("_max({}, {})", iv_max)}
 
 
-def _short(p: Sequence[float], reads: tuple[tuple[int, int], ...]) -> DimensionError:
-    """The error for the first variable x{j} of reads, pairs (j, slot) in the
-    order evaluation reads them, whose slot p lacks."""
+def _short(p: Sequence[float], reads: tuple[int, ...]) -> DimensionError:
+    """The error for the first variable x{j} of reads, in the order evaluation
+    reads them, that p has no entry for."""
     n = len(p)
-    j = next(j for j, k in reads if not -n <= k < n)
+    j = next(j for j in reads if j > n)
     return DimensionError(f"variable x{j} but the point has {n} entries")
 
 

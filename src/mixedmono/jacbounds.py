@@ -9,8 +9,8 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from .errors import DimensionError, InvalidBoundsError
-from .expr import (Expr, checked, differentiate, lower_decomposition, lower_factory,
-                   lower_intervals, parse, variables)
+from .expr import (Expr, compile_expr, differentiate, lower_decomposition, lower_intervals,
+                   parse, variables)
 from .interval import BoxDomain, Interval
 
 
@@ -49,8 +49,8 @@ class VectorField:
 
     @cached_property
     def compiled(self) -> tuple[Callable[[Sequence[float]], float], ...]:
-        """Each component evaluated with the checks of compile_expr."""
-        return tuple(checked(lower_factory(c)(range(self.n))) for c in self.components)
+        """compile_expr of each component: its one checked point evaluator."""
+        return tuple(map(compile_expr, self.components))
 
     @cached_property
     def g_factory(self) -> Callable[[Sequence], Callable[[list[float], bool], list[float]]]:

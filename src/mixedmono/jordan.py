@@ -113,11 +113,9 @@ class ScalarFunction:
         return d
 
     def enclosure(self, order: int, lo: float, hi: float) -> tuple[float, float]:
-        """An enclosure of f' (order 1) or f'' (order 2) over [lo, hi], by the
-        Jacobian interval program of the field of order - 1; the whole line
-        where it fails."""
-        (r,) = self._field(order - 1).jacobian_interval((lo,), (hi,))
-        return (-math.inf, math.inf) if isinstance(r, ValueError) else r
+        """An enclosure of f' (order 1) or f'' (order 2) over [lo, hi]: the
+        Jacobian range of the field of order - 1, the whole line where it fails."""
+        return self._field(order - 1).jacobian_ranges((lo,), (hi,), 0.0)[0][0]
 
 
 def _check_tol(tol: float):

@@ -298,6 +298,10 @@ def test_reach_rejects_bad_corners(capsys, cfg_file):
     assert rc == 1 and "x0-lo <= x0-hi" in err
     rc, _, err = _run(capsys, ["reach", cfg_file(NEGATION), "--x0-lo", "0,1"])
     assert rc == 1 and "expected 1 entries" in err
+    # g's rows hold only on [domain] = [0, 1]; these boxes exited 0
+    for lo, hi in (("5", "6"), ("-0.5", "0.5"), ("0.5", "1.5")):
+        rc, out, err = _run(capsys, ["reach", cfg_file(NEGATION), "--x0-lo", lo, "--x0-hi", hi])
+        assert rc == 1 and out == "" and err == "error: initial box must lie inside [domain]\n"
 
 
 @pytest.mark.parametrize("flag, value", [("--step", "nan"), ("--step", "inf"),
@@ -382,6 +386,10 @@ def test_tv_source_validation(capsys, cfg_file):
     assert rc == 1 and "bad expression" in err
     rc, _, err = _run(capsys, ["tv", cfg_file(COUPLED)])
     assert rc == 1 and "scalar config" in err
+    # a config's interval is its [domain]; these printed TV over [-1, 1] at exit 0
+    for flags in (["--a", "5", "--b", "9"], ["--b", "9"]):
+        rc, out, err = _run(capsys, ["tv", cfg_file(SQUARE), *flags])
+        assert rc == 1 and out == "" and "--a and --b go with --expr" in err
 
 
 @pytest.mark.parametrize("flag, value, message", [

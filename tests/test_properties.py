@@ -140,7 +140,9 @@ def _outcome(fn, *args):
 @example(Power(Binary("mul", Var(1), Var(1)), 0), [1e155])
 @example(Unary("exp", Unary("neg", Binary("mul", Var(1), Var(1)))), [1e155])
 def test_compiled_evaluation_matches_reference_fold(e, point):
-    assert _outcome(compile_expr(e), point) == _outcome(_reference, e, point)
+    want = _outcome(_reference, e, point)
+    assert _outcome(compile_expr(e), point) == want
+    assert _outcome(VectorField(N, (e,)).compiled[0], point) == want
 
 
 def test_compiled_evaluation_of_deep_trees():
