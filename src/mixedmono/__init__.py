@@ -11,8 +11,7 @@ from .decomp import (DecompositionSpec, bound_box, build_decomposition,
 from .jordan import (JordanSplit, ScalarFunction, UnboundedSplit, bv_decomposition_eval,
                      jordan_split, total_variation, unbounded_decomposition,
                      unbounded_split)
-from .embed import (EmbeddingSystem, ReachTube, build_embedding, integrate_embedding,
-                    sample_flow)
+from .embed import EmbeddingSystem, ReachTube, build_embedding, integrate_embedding
 
 __version__ = "0.1.0"
 
@@ -28,6 +27,5 @@ __all__ = [
     "JordanSplit", "ScalarFunction", "UnboundedSplit", "bv_decomposition_eval",
     "jordan_split", "total_variation", "unbounded_decomposition", "unbounded_split",
     "EmbeddingSystem", "ReachTube", "build_embedding", "integrate_embedding",
-    "sample_flow",
     "__version__",
 ]

@@ -31,9 +31,10 @@ config's interval is its [domain].  Exit codes: 0 success, 1 config or
 usage error (each refusal above among them), or stdout closed before the
 output was written (a broken pipe, as in `mixedmono tv ... | head -1`), 2
 unbounded derivative enclosure or an offset |a| + epsilon that overflows,
-3 integration blowup, 4 non-convergence, 5 an evaluation error (division
-by zero, overflow, sin or cos of an infinity, a non-finite intermediate)
-at a point the command evaluates.
+or for tv an f' unbounded on a cell too narrow to split (a pole or a 0/0
+like x1/x1 inside [a, b]), 3 integration blowup, 4 non-convergence, 5 an
+evaluation error (division by zero, overflow, sin or cos of an infinity, a
+non-finite intermediate) at a point the command evaluates.
 """
 
 from __future__ import annotations
@@ -86,6 +87,11 @@ class RunConfig:
 
 def _fmt(v: float) -> str:
     return format(float(v), ".9g")
+
+
+def _row_pattern(k: int) -> str:
+    """The pattern of k comma-separated floats: "%.9g" formats a float as _fmt does."""
+    return ",".join(["%.9g"] * k)
 
 
 def _unquote(s: str) -> str:
@@ -329,12 +335,9 @@ def cmd_reach(args) -> int:
 
     header = "t," + ",".join(f"lower_{j + 1}" for j in range(n)) \
         + "," + ",".join(f"upper_{j + 1}" for j in range(n))
+    row = _row_pattern(2 * n + 1)
     rows = [header]
-    for k in range(len(tube.times)):
-        cells = [_fmt(tube.times[k])]
-        cells += [_fmt(v) for v in tube.lower[k]]
-        cells += [_fmt(v) for v in tube.upper[k]]
-        rows.append(",".join(cells))
+    rows += [row % (t, *lo, *hi) for t, lo, hi in zip(tube.times, tube.lower, tube.upper)]
     text = "\n".join(rows) + "\n"
     if args.output and args.output != "-":
         try:

@@ -49,10 +49,15 @@ class EmbeddingSystem:
         return self.field.n
 
     def rhs(self, state: Sequence[float]) -> list[float]:
-        """g(x, y) followed by g(y, x), for state = x + y, a sequence of 2n floats."""
+        """g(x, y) followed by g(y, x), for state = x + y, a sequence of 2n floats.
+
+        A list goes to the kernel as it is, so its entries must be floats, as
+        those of every RK4 stage are; any other sequence is copied to one."""
         if len(state) != 2 * self.field.n:
             raise DimensionError(f"arguments must have {self.field.n} entries")
-        return self._kernel(list(map(float, state)), True)
+        if type(state) is not list:
+            state = list(map(float, state))
+        return self._kernel(state, True)
 
 
 def build_embedding(f: VectorField, spec: DecompositionSpec) -> EmbeddingSystem:
@@ -89,51 +94,6 @@ def _rk4_step(rhs, state: list[float], h: float) -> list[float]:
             for v, a, b, c, d in zip(state, k1, k2, k3, k4)]
 
 
-def _check_state(state: list[float], t: float, cap: float):
-    for v in state:
-        if not abs(v) <= cap:  # NaN fails the comparison too
-            raise BlowupError(t)
-
-
-def _integrate(rhs, state0: list[float], t_end: float, step: float, cap: float):
-    """Fixed-step RK4 path recording on float lists; returns (times, states)."""
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    if t_end < 0.0:
-        raise ValueError("t_end must be nonnegative")
-    # an infinite or NaN cap still stops on an infinite state
-    cap = cap if cap < math.inf else sys.float_info.max
-    state = state0
-    _check_state(state, 0.0, cap)
-    times = [0.0]
-    states = [state]
-    # count whole steps float-tolerantly so divisible horizons get exactly
-    # floor(t_end/step) of them
-    whole = _whole_steps(t_end, step)
-    t = 0.0
-    for k in range(whole):
-        t = (k + 1) * step
-        state = _step_checked(rhs, state, step, t, cap)
-        times.append(t)
-        states.append(state)
-    rem = t_end - whole * step
-    if rem > 1e-9 * step:
-        state = _step_checked(rhs, state, rem, t_end, cap)
-        times.append(t_end)
-        states.append(state)
-    return times, states
-
-
-def _step_checked(rhs, state, h, t, cap):
-    try:
-        nxt = _rk4_step(rhs, state, h)
-    except EvalError:
-        # overflow inside a stage evaluation is divergence, not a usage error
-        raise BlowupError(t) from None
-    _check_state(nxt, t, cap)
-    return nxt
-
-
 def _whole_steps(t_end: float, step: float) -> int:
     ratio = t_end / step
     near = round(ratio)
@@ -151,7 +111,7 @@ def integrate_embedding(system: EmbeddingSystem, x_lo: Sequence[float],
     The tube has floor(t_end/step) + 1 rows when step divides t_end; a
     remainder appends one extra row at t_end.  t_end = 0 yields the single
     initial row.  Raises BlowupError when any state magnitude passes
-    magnitude_cap.
+    magnitude_cap, or a stage evaluation fails, at the time of the step.
     """
     n = system.n
     lo, hi = [float(v) for v in x_lo], [float(v) for v in x_hi]
@@ -159,19 +119,34 @@ def integrate_embedding(system: EmbeddingSystem, x_lo: Sequence[float],
         raise DimensionError(f"initial corners must have {n} entries")
     if not leq_orthant(lo, hi):
         raise ValueError("initial box needs x_lo <= x_hi componentwise")
-    times, states = _integrate(system.rhs, lo + hi, t_end, step, magnitude_cap)
+    if step <= 0.0:
+        raise ValueError("step must be positive")
+    if t_end < 0.0:
+        raise ValueError("t_end must be nonnegative")
+    # an infinite or NaN cap still stops on an infinite state
+    cap = magnitude_cap if magnitude_cap < math.inf else sys.float_info.max
+    state = lo + hi
+    if not all(abs(v) <= cap for v in state):  # NaN fails the comparison too
+        raise BlowupError(0.0)
+    # count whole steps float-tolerantly so divisible horizons get exactly
+    # floor(t_end/step) of them; a remainder takes one more step, to t_end
+    whole = _whole_steps(t_end, step)
+    times = [0.0] + [k * step for k in range(1, whole + 1)]
+    widths = [step] * whole
+    rem = t_end - whole * step
+    if rem > 1e-9 * step:
+        times.append(t_end)
+        widths.append(rem)
+    rhs = system.rhs
+    states = [state]
+    for t, h in zip(times[1:], widths):
+        try:
+            state = _rk4_step(rhs, state, h)
+        except EvalError:
+            # overflow inside a stage evaluation is divergence, not a usage error
+            raise BlowupError(t) from None
+        for v in state:
+            if not abs(v) <= cap:
+                raise BlowupError(t)
+        states.append(state)
     return ReachTube(times, [s[:n] for s in states], [s[n:] for s in states], float(step))
-
-
-def sample_flow(f: VectorField, x0: Sequence[float], t_end: float,
-                step: float = DEFAULT_STEP,
-                magnitude_cap: float = DEFAULT_CAP) -> list[float]:
-    """Final state of the plain field from x0, using the same RK4 stepping."""
-    if f.m != f.n:
-        raise DimensionError(f"flows need a square field, got m={f.m}, n={f.n}")
-    x = [float(v) for v in x0]
-    if len(x) != f.n:
-        raise DimensionError(f"initial state must have {f.n} entries")
-    compiled = f.compiled
-    _, states = _integrate(lambda s: [fn(s) for fn in compiled], x, t_end, step, magnitude_cap)
-    return states[-1]

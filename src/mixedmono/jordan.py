@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, count
 from typing import Callable, NamedTuple, Optional
 
-from .errors import DimensionError, EvalError, NonConvergenceError
+from .errors import DimensionError, EvalError, NonConvergenceError, UnboundedDerivativeError
 from .expr import Expr, parse, variables
 from .interval import Interval, iv_mid
 from .jacbounds import VectorField
@@ -216,7 +216,8 @@ def _partition(f: ScalarFunction, a: float, b: float, tol: float, max_cells: int
     max_cells caps the cells of the start grid and its splits; a pin adds a
     node inside a cell that is certified.  A pin stops below tol/2 times its
     cell's share of [a, b], so all pins miss at most tol/2.  A cell too
-    narrow to split keeps its bound.  Raises NonConvergenceError where the
+    narrow to split keeps its bound, unless that bound is infinite: then it
+    raises UnboundedDerivativeError.  Raises NonConvergenceError where the
     bounds still sum to more than tol at the cap, or with no cell to split.
     """
     key = (a, b, tol, max_cells)
@@ -257,6 +258,11 @@ def _partition(f: ScalarFunction, a: float, b: float, tol: float, max_cells: int
                 nodes[x] = f(x)
             cells += len(xs)
             xs = [x0, *xs, x1]
+        elif nb == -math.inf:
+            # f' has no finite enclosure even on a cell too narrow to split, so
+            # the bounds can never sum to tol: f has a pole or a 0/0 there
+            raise UnboundedDerivativeError(1, 1, f"f' is unbounded near x1 = {x0:.9g}, "
+                                                 "on a cell too narrow to split")
         else:
             fixed -= nb
     xs = sorted(nodes)
@@ -272,8 +278,10 @@ def total_variation(f: ScalarFunction, sub: Interval, tol: float = 1e-8,
 
     The last running sum of the certified partition of sub, which
     jordan_split reads too.  Raises NonConvergenceError where the bounds on
-    what its cells miss sum to more than tol at the cell cap max_cells, and
-    ValueError unless 0 < tol < inf and max_cells is at least MIN_CELLS.
+    what its cells miss sum to more than tol at the cell cap max_cells,
+    UnboundedDerivativeError where f' is unbounded on a cell too narrow to
+    split (a pole, or a 0/0 like x1/x1), and ValueError unless 0 < tol < inf
+    and max_cells is at least MIN_CELLS.
     """
     _check_tol(tol)
     if max_cells < MIN_CELLS:

@@ -273,6 +273,43 @@ def test_reach_row_count(capsys, cfg_file):
     assert len(lines) == 7
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# recorded when each cell was formatted on its own; the decay tube ends on a remainder step
+GOLDEN_TUBES = {
+    ("coupled.ini", "0.005"): """\
+t,lower_1,lower_2,upper_1,upper_2
+0,0,0,1,1
+0.001,-0.00100100067,-0.00100100067,1.001001,1.001001
+0.002,-0.00200400534,-0.00200400534,1.00200401,1.00200401
+0.003,-0.00300901803,-0.00300901803,1.00300902,1.00300902
+0.004,-0.00401604275,-0.00401604275,1.00401604,1.00401604
+0.005,-0.00502508354,-0.00502508354,1.00502508,1.00502508
+""",
+    ("decay.ini", "0.0035"): """\
+t,lower_1,upper_1
+0,0,1
+0.001,-0.00100000017,1.0000005
+0.002,-0.00200000133,1.000002
+0.003,-0.0030000045,1.0000045
+0.0035,-0.00350000715,1.00000613
+""",
+}
+
+
+@pytest.mark.parametrize("config, t_end", sorted(GOLDEN_TUBES))
+def test_reach_prints_the_golden_tube(capsys, config, t_end):
+    rc, out, err = _run(capsys, ["reach", str(CONFIGS / config), "--t-end", t_end])
+    assert (rc, err) == (0, "")
+    assert out == GOLDEN_TUBES[config, t_end]
+
+
+def test_reach_row_pattern_prints_each_float_as_fmt_does():
+    values = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1 / 3, 2800.0, 123456789.0,
+              1234567891.0, -1e300, math.inf, -math.inf, math.nan]
+    assert cli._row_pattern(len(values)) % tuple(values) == ",".join(map(cli._fmt, values))
+
+
 def test_reach_writes_output_file(capsys, cfg_file, tmp_path):
     dest = tmp_path / "tube.csv"
     rc, out, _ = _run(capsys, ["reach", cfg_file(NEGATION), "--t-end", "0.2",
@@ -417,6 +454,16 @@ def test_tv_exits_5_where_a_later_node_hides_an_overflow(capsys):
     rc, out, err = _run(capsys, ["tv", "--expr", "sign(x1*1e200*1e200 - x1*1e200*1e200)",
                                  "--a", "0", "--b", "1"])
     assert (rc, out, err) == (5, "", "error: non-finite value during evaluation\n")
+
+
+@pytest.mark.parametrize("expr, a, b", [("cos((min(x1,0.4))^3)/x1", "-0.44", "0.52"),
+                                        ("x1/x1", "-1", "2")])
+def test_tv_refuses_where_f_prime_is_unbounded(capsys, expr, a, b):
+    # a pole, and a 0/0, of f' inside [a, b]: no cap on the cells can certify them
+    rc, out, err = _run(capsys, ["tv", "--expr", expr, "--a", a, "--b", b,
+                                 "--max-cells", "4096"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: f' is unbounded near x1 = ")
 
 
 def test_tv_rejects_a_non_finite_config_tolerance(capsys, cfg_file):

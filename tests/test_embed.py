@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from mixedmono import (BlowupError, BoxDomain, DimensionError, VectorField,
+from mixedmono import (BlowupError, BoxDomain, DimensionError, EmbeddingSystem, VectorField,
                        build_decomposition, build_embedding, integrate_embedding,
-                       jacobian_bounds, sample_flow)
+                       jacobian_bounds)
 
 
 def _embedding(exprs, bounds, epsilon=0.0):
@@ -17,6 +17,20 @@ def _embedding(exprs, bounds, epsilon=0.0):
     box = BoxDomain.from_bounds(bounds)
     spec = build_decomposition(jacobian_bounds(f, box), epsilon)
     return f, box, build_embedding(f, spec)
+
+
+def sample_flow(f, x0, t_end, step):
+    """The plain field's state at t_end from x0, by classical RK4 with steps
+    of step, which must divide t_end: an oracle for the tubes."""
+    h = step
+    x = np.array(x0, dtype=float)
+    for _ in range(round(t_end / h)):
+        k1 = np.array(f.evaluate(x))
+        k2 = np.array(f.evaluate(x + 0.5 * h * k1))
+        k3 = np.array(f.evaluate(x + 0.5 * h * k2))
+        k4 = np.array(f.evaluate(x + h * k3))
+        x = x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return list(x)
 
 
 # -- construction ----------------------------------------------------------------
@@ -97,12 +111,8 @@ def test_degenerate_box_follows_the_plain_flow():
 def test_sample_flow_values():
     f = VectorField.from_strings(["-x1"], 1)
     assert sample_flow(f, [1.0], 1.0, step=1e-3)[0] == pytest.approx(math.exp(-1.0), abs=1e-9)
-    assert np.array_equal(sample_flow(f, [0.7], 0.0), np.array([0.7]))
+    assert sample_flow(f, [0.7], 0.0, step=1e-3) == [0.7]
     assert sample_flow(f, [0.0], 3.0, step=1e-2)[0] == 0.0
-    with pytest.raises(DimensionError):
-        sample_flow(VectorField.from_strings(["x1 + x2"], 2), [1.0, 1.0], 1.0)
-    with pytest.raises(DimensionError):
-        sample_flow(f, [1.0, 2.0], 1.0)
 
 
 # -- time grid -------------------------------------------------------------------
@@ -222,9 +232,38 @@ def test_blowup_is_reported_with_time():
 
 
 def test_blowup_cap_is_configurable():
-    f = VectorField.from_strings(["x1^2"], 1)
+    _, _, sys = _embedding(["x1^2"], [(2.0, 2.0)])
     with pytest.raises(BlowupError) as small:
-        sample_flow(f, [2.0], 1.0, step=1e-3, magnitude_cap=1e2)
+        integrate_embedding(sys, [2.0], [2.0], 1.0, step=1e-3, magnitude_cap=1e2)
     with pytest.raises(BlowupError) as large:
-        sample_flow(f, [2.0], 1.0, step=1e-3, magnitude_cap=1e10)
-    assert small.value.time <= large.value.time
+        integrate_embedding(sys, [2.0], [2.0], 1.0, step=1e-3, magnitude_cap=1e10)
+    assert small.value.time < large.value.time
+    with pytest.raises(BlowupError) as at_start:
+        integrate_embedding(sys, [2.0], [2.0], 1.0, step=1e-3, magnitude_cap=1.0)
+    assert at_start.value.time == 0.0
+
+
+def test_rhs_reads_a_list_a_tuple_and_an_array_alike():
+    _, _, sys = _embedding(["-x1 + x2^2", "x1 - sin(x2)"], [(0.0, 1.0), (0.0, 1.0)])
+    state = [0.25, 0.5, 0.75, 1.0]
+    want = sys.rhs(list(state))
+    assert sys.rhs(tuple(state)) == want
+    assert sys.rhs(np.array(state)) == want
+    assert all(type(v) is float for v in want)
+
+
+@pytest.mark.parametrize("t_end, steps", [(1.0, 4), (0.9, 4), (0.0, 0)])
+def test_each_rk4_step_calls_rhs_four_times(monkeypatch, t_end, steps):
+    # step 0.25 divides 1.0; 0.9 takes three steps of 0.25 and a remainder step of 0.15
+    _, _, sys = _embedding(["-x1 + x2", "x1 - x2"], [(0.0, 1.0), (0.0, 1.0)])
+    calls = []
+    rhs = EmbeddingSystem.rhs
+
+    def counted(self, state):
+        calls.append(state)
+        return rhs(self, state)
+
+    monkeypatch.setattr(EmbeddingSystem, "rhs", counted)
+    tube = integrate_embedding(sys, [0.0, 0.0], [1.0, 1.0], t_end, step=0.25)
+    assert len(tube.times) == steps + 1
+    assert len(calls) == 4 * steps
