@@ -231,14 +231,22 @@ def _checked_bracket(g: list[float], m: int) -> list[tuple[float, float]]:
     """The endpoint pairs (g_i(lo, hi), g_i(hi, lo)) of the kernel output g.
 
     Raises UnboundedDerivativeError where an endpoint is not finite: each
-    value of f_i is finite there, so its offset sum overflowed.
+    value of f_i is finite there, so its offset sum overflowed.  Where every
+    endpoint is finite, raises the ValueError of Interval for the first pair
+    whose lower endpoint exceeds its upper one.
     """
-    bracket = list(zip(g[:m], g[m:]))
-    for i, (a, b) in enumerate(bracket):
+    bracket, disordered = [], None
+    for i in range(m):
+        a, b = g[i], g[m + i]
         if not (math.isfinite(a) and math.isfinite(b)):
             raise UnboundedDerivativeError(i + 1, None, f"bracket for f{i + 1} overflows: "
                                            f"f{i + 1} plus its offsets is not finite on the box")
-    return [iv_checked(a, b) for a, b in bracket]
+        if a > b and disordered is None:
+            disordered = a, b
+        bracket.append((a, b))
+    if disordered:
+        iv_checked(*disordered)
+    return bracket
 
 
 def _fmt_coeff(c: float) -> str:

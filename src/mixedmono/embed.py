@@ -119,10 +119,10 @@ def integrate_embedding(system: EmbeddingSystem, x_lo: Sequence[float],
         raise DimensionError(f"initial corners must have {n} entries")
     if not leq_orthant(lo, hi):
         raise ValueError("initial box needs x_lo <= x_hi componentwise")
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    if t_end < 0.0:
-        raise ValueError("t_end must be nonnegative")
+    if not 0.0 < step < math.inf:  # NaN fails the comparison too
+        raise ValueError("step must be positive and finite")
+    if not 0.0 <= t_end < math.inf:
+        raise ValueError("t_end must be finite and nonnegative")
     # an infinite or NaN cap still stops on an infinite state
     cap = magnitude_cap if magnitude_cap < math.inf else sys.float_info.max
     state = lo + hi

@@ -792,7 +792,7 @@ def eval_interval(e: Expr, box: BoxDomain, slack: float = 0.0) -> Interval:
     No command calls it: perfbench/layers.py traces expr.eval_interval by
     name, and its --trace run fails with AttributeError without it.
     """
-    if slack < 0.0:
+    if not slack >= 0.0:
         raise ValueError("slack must be nonnegative")
     (r,) = lower_intervals((e,))(box.lower_corner(), box.upper_corner())
     if isinstance(r, ValueError):
@@ -840,8 +840,10 @@ def lower_intervals(trees: Sequence[Expr]) -> Callable[[Sequence[float], Sequenc
 
     def run(lo: Sequence[float], hi: Sequence[float]) -> list:
         v = [*head, *zip(lo, hi)]
-        v += [DimensionError(f"variable x{j} but the box has {len(lo)} axes")
-              for j in range(len(v) - top + 1, width + 1)]
+        short = len(v) - top < width  # the box lacks a variable the trees read
+        if short:
+            v += [DimensionError(f"variable x{j} but the box has {len(lo)} axes")
+                  for j in range(len(v) - top + 1, width + 1)]
         for k, rule, a, b in ops:
             try:
                 alo, ahi = v[a]
@@ -855,9 +857,10 @@ def lower_intervals(trees: Sequence[Expr]) -> Callable[[Sequence[float], Sequenc
             except ValueError as exc:
                 v[k] = exc
         out = [v[r] for r in roots]
-        for r in out:
-            if isinstance(r, DimensionError):
-                raise r
+        if short:
+            for r in out:
+                if isinstance(r, DimensionError):
+                    raise r
         return out
 
     return run

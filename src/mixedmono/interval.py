@@ -17,7 +17,10 @@ from typing import Iterable, Sequence
 from .errors import DimensionError
 
 _INF = math.inf
+_PI = math.pi
+_HALF_PI = 0.5 * math.pi
 _TWO_PI = 2.0 * math.pi
+_ceil = math.ceil
 
 
 def _fpow(x: float, n: int) -> float:
@@ -33,12 +36,6 @@ def _fexp(x: float) -> float:
         return math.exp(x)
     except OverflowError:
         return _INF
-
-
-def _contains_angle(lo: float, hi: float, theta: float) -> bool:
-    """Is theta + 2*pi*k inside [lo, hi] for some integer k?"""
-    k = math.ceil((lo - theta) / _TWO_PI)
-    return theta + k * _TWO_PI <= hi
 
 
 def _sgn(v: float) -> float:
@@ -61,8 +58,9 @@ def _step(v: float) -> float:
 #
 # Each rule takes the float endpoints of valid intervals and returns the
 # endpoints (lo, hi) of the image.  A rule whose image can leave the valid
-# intervals (overflow to [inf, inf], say) checks it and raises the ValueError
-# that Interval itself raises.  These rules are the package's one interval
+# intervals (overflow to [inf, inf], say) checks it itself and calls
+# iv_checked only where the check fails, to raise the ValueError that
+# Interval itself raises.  These rules are the package's one interval
 # arithmetic: each op node of the shared-node program of expr._program holds
 # its rule, which expr.lower_intervals calls, and decomp's bisection hulls
 # and intersects its brackets with iv_hull and iv_intersect.
@@ -83,11 +81,17 @@ def iv_neg(lo: float, hi: float) -> tuple[float, float]:
 
 
 def iv_add(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
-    return iv_checked(alo + blo, ahi + bhi)
+    lo, hi = alo + blo, ahi + bhi
+    if lo <= hi and lo != _INF and hi != -_INF:
+        return lo, hi
+    return iv_checked(lo, hi)
 
 
 def iv_sub(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
-    return iv_checked(alo - bhi, ahi - blo)
+    lo, hi = alo - bhi, ahi - blo
+    if lo <= hi and lo != _INF and hi != -_INF:
+        return lo, hi
+    return iv_checked(lo, hi)
 
 
 def iv_mul(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
@@ -98,11 +102,20 @@ def iv_mul(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float
     # min and max of (p, q, r, s), the first of equal values winning as in
     # the builtins (which keeps the sign of a zero result)
     lo = hi = p
-    for v in (q, r, s):
-        if v < lo:
-            lo = v
-        elif v > hi:
-            hi = v
+    if q < lo:
+        lo = q
+    elif q > hi:
+        hi = q
+    if r < lo:
+        lo = r
+    elif r > hi:
+        hi = r
+    if s < lo:
+        lo = s
+    elif s > hi:
+        hi = s
+    if lo <= hi and lo != _INF and hi != -_INF:
+        return lo, hi
     return iv_checked(lo, hi)
 
 
@@ -134,7 +147,7 @@ def iv_power(lo: float, hi: float, n: int) -> tuple[float, float]:
     a, b = abs(lo), abs(hi)
     top = _fpow(max(a, b), n)
     if lo <= 0.0 <= hi:
-        return iv_checked(0.0, top)
+        return 0.0, top  # top >= 0, never NaN
     return iv_checked(_fpow(min(a, b), n), top)
 
 
@@ -147,15 +160,25 @@ def iv_abs(lo: float, hi: float) -> tuple[float, float]:
 
 
 def iv_exp(lo: float, hi: float) -> tuple[float, float]:
-    return iv_checked(_fexp(lo), _fexp(hi))
+    try:
+        return math.exp(lo), math.exp(hi)
+    except OverflowError:
+        return iv_checked(_fexp(lo), _fexp(hi))
 
+
+# iv_sin and iv_cos reach 1 (-1) where [lo, hi] holds theta + 2*pi*k for the
+# integer k = ceil((lo - theta) / (2*pi)), theta being the angle of the peak
+# (trough); elsewhere they take max(a, b) (min(a, b)), written out with the
+# builtins' rule for a tie, which keeps the sign of a zero.
 
 def iv_sin(lo: float, hi: float) -> tuple[float, float]:
     if hi - lo >= _TWO_PI:
         return -1.0, 1.0
     a, b = math.sin(lo), math.sin(hi)
-    top = 1.0 if _contains_angle(lo, hi, 0.5 * math.pi) else max(a, b)
-    bottom = -1.0 if _contains_angle(lo, hi, -0.5 * math.pi) else min(a, b)
+    top = (1.0 if _HALF_PI + _ceil((lo - _HALF_PI) / _TWO_PI) * _TWO_PI <= hi
+           else b if b > a else a)
+    bottom = (-1.0 if -_HALF_PI + _ceil((lo + _HALF_PI) / _TWO_PI) * _TWO_PI <= hi
+              else b if b < a else a)
     return bottom, top
 
 
@@ -163,8 +186,8 @@ def iv_cos(lo: float, hi: float) -> tuple[float, float]:
     if hi - lo >= _TWO_PI:
         return -1.0, 1.0
     a, b = math.cos(lo), math.cos(hi)
-    top = 1.0 if _contains_angle(lo, hi, 0.0) else max(a, b)
-    bottom = -1.0 if _contains_angle(lo, hi, math.pi) else min(a, b)
+    top = 1.0 if _ceil(lo / _TWO_PI) * _TWO_PI <= hi else b if b > a else a
+    bottom = -1.0 if _PI + _ceil((lo - _PI) / _TWO_PI) * _TWO_PI <= hi else b if b < a else a
     return bottom, top
 
 

@@ -83,11 +83,15 @@ class VectorField:
         """
         if not slack >= 0.0:
             raise ValueError("slack must be nonnegative")
-        flat = [(-math.inf, math.inf) if isinstance(r, ValueError) else r
-                for r in self.jacobian_interval(lo, hi)]
+        ranges = self.jacobian_interval(lo, hi)
         if slack:  # a widened interval is an interval: no check per entry
-            flat = [(a - slack, b + slack) for a, b in flat]
+            flat = [(-math.inf, math.inf) if isinstance(r, ValueError)
+                    else (r[0] - slack, r[1] + slack) for r in ranges]
+        else:
+            flat = [(-math.inf, math.inf) if isinstance(r, ValueError) else r for r in ranges]
         n = self.n
+        if len(flat) == n:  # m = 1
+            return [flat]
         return [flat[k:k + n] for k in range(0, len(flat), n)]
 
     def evaluate(self, point: Sequence[float]) -> list[float]:

@@ -310,6 +310,69 @@ def test_reach_row_pattern_prints_each_float_as_fmt_does():
     assert cli._row_pattern(len(values)) % tuple(values) == ",".join(map(cli._fmt, values))
 
 
+# -- bound's hot path, pinned ------------------------------------------------------
+
+# The eight bound inputs of perfbench/inputs.py at seed 1, one per kind of
+# field (smooth, kink) and dimension (1-4), bisected 5-7 levels deep, and the
+# brackets they printed when recorded: (label, f, domain, depth, slack, stdout).
+GOLDEN_BRACKETS = [
+    ('smooth1', ['x1*sin(1.90439*x1) + 0.103209*x1^2'],
+     ['[-3.0653, 3.0653]'], 7, '0',
+     'f1 ∈ [-1.86028021, 1.07955619]\n'),
+    ('kink1', ['abs(x1^2 - 1.06349) + -0.26161*x1'],
+     ['[-2, 1.8381]'], 7, None,
+     'f1 ∈ [-0.275641342, 3.45973]\n'),
+    ('smooth2', ['sin(x1)*cos(x2) + 0.477472*x1*x2', 'exp(0.541215*x1) - x2^2'],
+     ['[-1, 1.60575]', '[-0.954541, 1]'], 6, None,
+     'f1 ∈ [-1.01999869, 1.3335433]\nf2 ∈ [-0.417959357, 2.39524845]\n'),
+    ('kink2', ['max(x1, x2^2 - 0.530724)', 'min(x1*x2, 0.292391) + abs(x1 - x2)'],
+     ['[-1, 1]', '[-1.04037, 0.835765]'], 6, None,
+     'f1 ∈ [-0.568241524, 1]\nf2 ∈ [-0.40779, 1.060555]\n'),
+    ('smooth3', ['sin(x1)*x2 - x3^2', 'x1*x2*x3 + cos(1.03665*x2)', 'exp(x1/4) - x2*x3'],
+     ['[-1, 1]', '[-1, 0.917151]', '[-0.972819, 1]'], 5, None,
+     'f1 ∈ [-1.84147098, 0.854692082]\nf2 ∈ [-0.490893535, 2.12149311]\nf3 ∈ [-0.194018217, 2.28402542]\n'),
+    ('kink3', ['abs(x1 - 0.544469*x2) + x3', 'max(x1*x3, -0.115865) - x2'],
+     ['[-1, 1]', '[-1, 1]', '[-0.999272, 1]'], 6, None,
+     'f1 ∈ [-1.7715065, 2.544469]\nf2 ∈ [-1.116047, 2]\n'),
+    ('smooth4', ['x1*x2 - x3*x4', 'sin(x1 + x4) + 0.305004*x2^2'],
+     ['[-1, 1]', '[-1, 1]', '[-0.924733, 1]', '[-1, 1]'], 6, None,
+     'f1 ∈ [-2, 2]\nf2 ∈ [-1.53351768, 1.83852168]\n'),
+    ('kink4', ['max(x1 + x2, x3 - x4)', 'abs(x1*x4) - min(x2, 0.540453*x3)'],
+     ['[-1, 1]', '[-1, 1.00917]', '[-1, 1]', '[-1, 1]'], 6, None,
+     'f1 ∈ [-2, 2.00917]\nf2 ∈ [-0.540453003, 2]\n'),
+]
+
+
+@pytest.mark.parametrize("label, exprs, domain, depth, slack, want", GOLDEN_BRACKETS,
+                         ids=[case[0] for case in GOLDEN_BRACKETS])
+def test_bound_prints_the_golden_brackets(capsys, cfg_file, label, exprs, domain, depth,
+                                          slack, want):
+    text = f"[system]\ndim = {len(domain)}\n"
+    text += "".join(f'f{i} = "{e}"\n' for i, e in enumerate(exprs, start=1))
+    text += "[domain]\n" + "".join(f"x{j} = {d}\n" for j, d in enumerate(domain, start=1))
+    if slack is not None:
+        text += f"[options]\nslack = {slack}\n"
+    assert _run(capsys, ["bound", cfg_file(text), "--depth", str(depth)]) == (0, want, "")
+
+
+# bound --depth 3 --check on each shipped config, in its own format and in CSV
+GOLDEN_CHECKS = {
+    ('coupled.ini', 'config'): 'i,lo,hi,grid_lo,grid_hi,enclosed\n1,-1,1,-1,1,yes\n2,-1,1,-1,1,yes\n',
+    ('coupled.ini', 'csv'): 'i,lo,hi,grid_lo,grid_hi,enclosed\n1,-1,1,-1,1,yes\n2,-1,1,-1,1,yes\n',
+    ('decay.ini', 'config'): 'f1 ∈ [-1, 0]\ncheck f1: grid range [-1, -0] enclosed=yes\n',
+    ('decay.ini', 'csv'): 'i,lo,hi,grid_lo,grid_hi,enclosed\n1,-1,0,-1,-0,yes\n',
+    ('square.ini', 'config'): 'f1 ∈ [0, 1]\ncheck f1: grid range [1.00020003e-08, 1] enclosed=yes\n',
+    ('square.ini', 'csv'): 'i,lo,hi,grid_lo,grid_hi,enclosed\n1,0,1,1.00020003e-08,1,yes\n',
+}
+
+
+@pytest.mark.parametrize("config, fmt", sorted(GOLDEN_CHECKS))
+def test_bound_check_prints_the_golden_report(capsys, config, fmt):
+    argv = ["bound", str(CONFIGS / config), "--depth", "3", "--check"]
+    argv += ["--format", "csv"] if fmt == "csv" else []
+    assert _run(capsys, argv) == (0, GOLDEN_CHECKS[config, fmt], "")
+
+
 def test_reach_writes_output_file(capsys, cfg_file, tmp_path):
     dest = tmp_path / "tube.csv"
     rc, out, _ = _run(capsys, ["reach", cfg_file(NEGATION), "--t-end", "0.2",

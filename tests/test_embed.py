@@ -150,6 +150,19 @@ def test_tube_input_validation():
         integrate_embedding(sys, [0.0, 0.0], [1.0, 1.0], 1.0)
 
 
+@pytest.mark.parametrize("t_end, step, message", [
+    (1.0, math.inf, "step must be positive and finite"),  # was a one-row tube ending at t = 0
+    (1.0, math.nan, "step must be positive and finite"),
+    (1.0, -math.inf, "step must be positive and finite"),
+    (math.inf, 1e-3, "t_end must be finite and nonnegative"),  # was an OverflowError
+    (math.nan, 1e-3, "t_end must be finite and nonnegative"),
+])
+def test_tube_refuses_a_non_finite_step_or_horizon(t_end, step, message):
+    _, _, sys = _embedding(["-x1"], [(0.0, 1.0)])
+    with pytest.raises(ValueError, match=message):
+        integrate_embedding(sys, [0.0], [1.0], t_end, step=step)
+
+
 # -- order properties ------------------------------------------------------------
 
 def test_tube_rows_stay_ordered(corpus):

@@ -308,6 +308,9 @@ def test_eval_interval_slack():
     assert iv == Interval(-1e-6, 1 + 1e-6)
     with pytest.raises(ValueError):
         eval_interval(parse("x1", 1), box, slack=-1.0)
+    # a NaN slack is refused as a negative one is, not passed on to the endpoints
+    with pytest.raises(ValueError, match="slack must be nonnegative"):
+        eval_interval(parse("x1", 1), box, slack=math.nan)
 
 
 def test_eval_interval_dimension_check():

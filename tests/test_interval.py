@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixedmono import BoxDomain, DimensionError, Interval, Var, eval_interval, leq_orthant
-from mixedmono.interval import (iv_abs, iv_add, iv_cos, iv_div, iv_exp, iv_hull, iv_intersect,
-                                iv_max, iv_min, iv_mul, iv_neg, iv_power, iv_sign, iv_sin,
-                                iv_step, iv_sub)
+from mixedmono.interval import (_fexp, _fpow, iv_abs, iv_add, iv_checked, iv_cos, iv_div, iv_exp,
+                                iv_hull, iv_intersect, iv_max, iv_min, iv_mul, iv_neg, iv_power,
+                                iv_sign, iv_sin, iv_step, iv_sub)
 
 INF = math.inf
 
@@ -189,3 +190,135 @@ def test_box_accessors():
     assert np.array_equal(box.lower_corner(), [0.0, -2.0])
     assert np.array_equal(box.upper_corner(), [1.0, 2.0])
     assert box.widths() == [1.0, 4.0]
+
+
+# -- the rules against their plain forms --------------------------------------------
+#
+# The rules below are the plain forms of the fast ones in interval.py, which
+# test their own image, unroll their min and max, and write out the angle
+# test of sine and cosine.  The fast ones must give the same pairs, the sign
+# of a zero included, and raise the same errors.
+
+def _ref_add(alo, ahi, blo, bhi):
+    return iv_checked(alo + blo, ahi + bhi)
+
+
+def _ref_sub(alo, ahi, blo, bhi):
+    return iv_checked(alo - bhi, ahi - blo)
+
+
+def _ref_mul(alo, ahi, blo, bhi):
+    p, q, r, s = alo * blo, alo * bhi, ahi * blo, ahi * bhi
+    if p != p or q != q or r != r or s != s:
+        p, q, r, s = (0.0 if v != v else v for v in (p, q, r, s))
+    lo = hi = p
+    for v in (q, r, s):
+        if v < lo:
+            lo = v
+        elif v > hi:
+            hi = v
+    return iv_checked(lo, hi)
+
+
+def _ref_power(lo, hi, n):
+    if n == 0:
+        return 1.0, 1.0
+    if n < 0:
+        return iv_div(1.0, 1.0, *_ref_power(lo, hi, -n))
+    if n % 2 == 1:
+        return iv_checked(_fpow(lo, n), _fpow(hi, n))
+    a, b = abs(lo), abs(hi)
+    top = _fpow(max(a, b), n)
+    if lo <= 0.0 <= hi:
+        return iv_checked(0.0, top)
+    return iv_checked(_fpow(min(a, b), n), top)
+
+
+def _ref_exp(lo, hi):
+    return iv_checked(_fexp(lo), _fexp(hi))
+
+
+def _contains_angle(lo, hi, theta):
+    k = math.ceil((lo - theta) / (2.0 * math.pi))
+    return theta + k * (2.0 * math.pi) <= hi
+
+
+def _ref_sin(lo, hi):
+    if hi - lo >= 2.0 * math.pi:
+        return -1.0, 1.0
+    a, b = math.sin(lo), math.sin(hi)
+    top = 1.0 if _contains_angle(lo, hi, 0.5 * math.pi) else max(a, b)
+    bottom = -1.0 if _contains_angle(lo, hi, -0.5 * math.pi) else min(a, b)
+    return bottom, top
+
+
+def _ref_cos(lo, hi):
+    if hi - lo >= 2.0 * math.pi:
+        return -1.0, 1.0
+    a, b = math.cos(lo), math.cos(hi)
+    top = 1.0 if _contains_angle(lo, hi, 0.0) else max(a, b)
+    bottom = -1.0 if _contains_angle(lo, hi, math.pi) else min(a, b)
+    return bottom, top
+
+
+_BINARY_REFS = [(iv_add, _ref_add), (iv_sub, _ref_sub), (iv_mul, _ref_mul)]
+_UNARY_REFS = [(iv_exp, _ref_exp), (iv_sin, _ref_sin), (iv_cos, _ref_cos)]
+_EXPONENTS = range(-4, 6)
+
+
+def _outcome(rule, *args):
+    """repr of the pair a rule returns, so the sign of a zero counts, or its ValueError."""
+    try:
+        return repr(rule(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _assert_binary_rules_agree(a, b):
+    for fast, ref in _BINARY_REFS:
+        assert _outcome(fast, *a, *b) == _outcome(ref, *a, *b)
+
+
+def _assert_unary_rules_agree(a):
+    for fast, ref in _UNARY_REFS:
+        assert _outcome(fast, *a) == _outcome(ref, *a)
+    for n in _EXPONENTS:
+        assert _outcome(iv_power, *a, n) == _outcome(_ref_power, *a, n)
+
+
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 2.5, -2.5, 0.5 * math.pi, -0.5 * math.pi,
+          2.0 * math.pi, 1e308, -1e308, INF, -INF]
+_EDGE_INTERVALS = [(a, b) for a in _EDGES for b in _EDGES
+                   if a <= b and a != INF and b != -INF]
+
+
+def test_rules_match_their_plain_forms_on_edge_intervals():
+    for a in _EDGE_INTERVALS:
+        _assert_unary_rules_agree(a)
+        for b in _EDGE_INTERVALS:
+            _assert_binary_rules_agree(a, b)
+
+
+@pytest.mark.parametrize("rule, ref, args", [
+    (iv_add, _ref_add, (1e308, 1e308, 1e308, 1e308)),       # overflows to [inf, inf]
+    (iv_sub, _ref_sub, (-1e308, -1e308, 1e308, 1e308)),     # overflows to [-inf, -inf]
+    (iv_mul, _ref_mul, (1e308, 1e308, -1e308, -1e308)),
+    (iv_exp, _ref_exp, (710.0, 711.0)),
+    (iv_power, _ref_power, (1e200, 1e201, 2)),
+    (iv_power, _ref_power, (-1e201, -1e200, 3)),
+])
+def test_rules_raise_the_errors_of_their_plain_forms(rule, ref, args):
+    assert _outcome(rule, *args).startswith("ValueError: ")
+    assert _outcome(rule, *args) == _outcome(ref, *args)
+
+
+_FLOATS = st.floats(allow_nan=False)
+_INTERVALS = st.tuples(_FLOATS, _FLOATS).map(sorted).map(tuple).filter(
+    lambda p: p[0] != INF and p[1] != -INF)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_INTERVALS, _INTERVALS)
+def test_rules_match_their_plain_forms_on_sampled_intervals(a, b):
+    _assert_unary_rules_agree(a)
+    _assert_binary_rules_agree(a, b)
