@@ -8,9 +8,8 @@ from .interval import BoxDomain, Interval, leq_orthant
 from .jacbounds import SignCase, VectorField, classify, jacobian_bounds
 from .decomp import (DecompositionSpec, bound_box, build_decomposition,
                      eval_decomposition, format_decomposition, refine_bounds)
-from .jordan import (JordanSplit, ScalarFunction, UnboundedSplit, bv_decomposition_eval,
-                     jordan_split, total_variation, unbounded_decomposition,
-                     unbounded_split)
+from .jordan import (JordanSplit, ScalarFunction, UnboundedSplit, jordan_split,
+                     total_variation, unbounded_decomposition, unbounded_split)
 from .embed import EmbeddingSystem, ReachTube, build_embedding, integrate_embedding
 
 __version__ = "0.1.0"
@@ -24,8 +23,8 @@ __all__ = [
     "SignCase", "VectorField", "classify", "jacobian_bounds",
     "DecompositionSpec", "bound_box", "build_decomposition", "eval_decomposition",
     "format_decomposition", "refine_bounds",
-    "JordanSplit", "ScalarFunction", "UnboundedSplit", "bv_decomposition_eval",
-    "jordan_split", "total_variation", "unbounded_decomposition", "unbounded_split",
+    "JordanSplit", "ScalarFunction", "UnboundedSplit", "jordan_split", "total_variation",
+    "unbounded_decomposition", "unbounded_split",
     "EmbeddingSystem", "ReachTube", "build_embedding", "integrate_embedding",
     "__version__",
 ]

@@ -387,8 +387,8 @@ def cmd_tv(args) -> int:
 
     tv = total_variation(f, domain, opts.tol, max_cells=args.max_cells)
     split = jordan_split(f, opts.tol, max_cells=args.max_cells)
-    g_lo_hi = split.fplus(domain.lo) + split.fminus(domain.hi)
-    g_hi_lo = split.fplus(domain.hi) + split.fminus(domain.lo)
+    g_lo_hi = split.g(domain.lo, domain.hi)
+    g_hi_lo = split.g(domain.hi, domain.lo)
     xs = linspace(domain.lo, domain.hi, args.grid - 1)
     out = []
     if opts.fmt == "csv":

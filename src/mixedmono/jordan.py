@@ -7,9 +7,10 @@ variation.  A one-signed enclosure of f'' makes f' monotone, so the cell is
 monotone too, or its one extremum is pinned as a node by bisection on f'.
 Every other cell carries a bound on the variation that |Δf| misses there,
 and the cell with the largest bound is split until the bounds sum to at most
-tol.  The partition is kept with the running sums of |Δf| over its nodes, so
-the variation, the Jordan split at any point of the domain, and the
-whole-line construction are all read from it by prefix sums.
+tol.  The partition is kept as a JordanSplit, with the running sums of |Δf|
+over its nodes, so the variation, f⁺ and f⁻ at any point of the domain, the
+decomposition g(x, y) = f⁺(x) + f⁻(y), and the whole-line construction are
+all read from it by prefix sums.
 
 The splits here complement the Jacobian-based construction in decomp: they
 need only bounded variation, at the price of a generally wider bracket.
@@ -19,10 +20,11 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, count
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 from .errors import DimensionError, EvalError, NonConvergenceError, UnboundedDerivativeError
 from .expr import Expr, parse, variables
@@ -48,10 +50,14 @@ def quad(func, a, b, **kwargs):
 def linspace(a: float, b: float, cells: int) -> list[float]:
     """The cells + 1 evenly spaced points from a to b, bit for bit those of
     numpy.linspace(a, b, cells + 1): k*step + a with the last set to b, and
-    (k/cells)*(b - a) + a where step underflows to 0."""
+    (k/cells)*(b - a) + a where step underflows to 0.  Where b - a overflows,
+    and numpy's points are NaN, 2*(0.5*a + k*h) with h = (0.5*b - 0.5*a)/cells."""
     step = (b - a) / cells
     if step == 0.0:
         xs = [(k / cells) * (b - a) + a for k in range(cells + 1)]
+    elif step == math.inf:
+        h = (0.5 * b - 0.5 * a) / cells
+        xs = [2.0 * (0.5 * a + k * h) for k in range(cells + 1)]
     else:
         xs = [k * step + a for k in range(cells + 1)]
     xs[-1] = b
@@ -74,7 +80,6 @@ class ScalarFunction:
     _f: Callable[[list[float]], float] = field(init=False, repr=False, compare=False)
     _df_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _partition_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _split_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _unbounded_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -194,23 +199,43 @@ def _split_points(f: ScalarFunction, x0: float, x1: float, share: float) -> list
     return [x for x in points if x0 < x < x1]
 
 
-class _Partition(NamedTuple):
-    """A certified partition of [a, b]: its sorted nodes (the start grid,
-    the splits and the pins), f at each node, and cum[k], the sum of |Δf|
-    over the first k cells, so cum[-1] is within tol below the variation."""
+@dataclass(eq=False)
+class JordanSplit:
+    """Monotone split f = f⁺ + f⁻ of [a, b], read from a certified partition.
 
+    nodes are its sorted nodes (the start grid, the splits and the pins),
+    vals f at each node, and cum[k] the sum of |Δf| over the first k cells,
+    so cum[-1] is within tol below the variation.  f⁺ is nondecreasing with
+    f⁺(a) = 0 and f⁺(b) = cum[-1]; f⁻ = f - f⁺ is nonincreasing.
+    """
+
+    f: ScalarFunction
     nodes: list[float]
     vals: list[float]
     cum: list[float]
+    tol: float
 
-    def variation_to(self, f: ScalarFunction, x: float) -> float:
-        """cum[k] + |f(x) - f(p_k)|, p_k the last node <= x: the prefix sum at a
-        node, and elsewhere the sum of the partition refined by x."""
-        k = bisect_right(self.nodes, x) - 1
-        return self.cum[k] + abs(f(x) - self.vals[k])
+    def fplus(self, x: float) -> float:
+        """cum[k] + |f(x) - vals[k]|, p_k the last node <= x: the prefix sum at
+        a node, and elsewhere the variation of the partition refined by x."""
+        x = float(x)
+        nodes = self.nodes
+        if not nodes[0] <= x <= nodes[-1]:
+            raise ValueError(f"{x} outside the domain [{nodes[0]}, {nodes[-1]}]")
+        k = bisect_right(nodes, x) - 1
+        return self.cum[k] + abs(self.f(x) - self.vals[k])
+
+    def fminus(self, x: float) -> float:
+        return self.f(x) - self.fplus(x)
+
+    def g(self, x: float, y: float) -> float:
+        """The decomposition g(x, y) = f⁺(x) + f⁻(y).  It agrees with f on the
+        diagonal, is nondecreasing in x and nonincreasing in y, and brackets f
+        over [a, b] via g(a, b) <= f <= g(b, a)."""
+        return self.fplus(x) + self.fminus(y)
 
 
-def _partition(f: ScalarFunction, a: float, b: float, tol: float, max_cells: int) -> _Partition:
+def _partition(f: ScalarFunction, a: float, b: float, tol: float, max_cells: int) -> JordanSplit:
     """The partition of [a, b] whose cells' bounds sum to at most tol.
 
     max_cells caps the cells of the start grid and its splits; a pin adds a
@@ -225,7 +250,7 @@ def _partition(f: ScalarFunction, a: float, b: float, tol: float, max_cells: int
     if cached is not None:
         return cached
     if a == b:
-        return _Partition([a], [f(a)], [0.0])
+        return JordanSplit(f, [a], [f(a)], [0.0], tol)
     nodes = {x: f(x) for x in linspace(a, b, MIN_CELLS)}
     share = 0.5 * tol / (b - a)
     xs = list(nodes)
@@ -268,7 +293,7 @@ def _partition(f: ScalarFunction, a: float, b: float, tol: float, max_cells: int
     xs = sorted(nodes)
     vals = [nodes[x] for x in xs]
     cum = list(accumulate((abs(v - u) for u, v in zip(vals, vals[1:])), initial=0.0))
-    part = f._partition_cache[key] = _Partition(xs, vals, cum)
+    part = f._partition_cache[key] = JordanSplit(f, xs, vals, cum, tol)
     return part
 
 
@@ -292,68 +317,20 @@ def total_variation(f: ScalarFunction, sub: Interval, tol: float = 1e-8,
     return _partition(f, sub.lo, sub.hi, tol, max_cells).cum[-1]
 
 
-@dataclass(eq=False)
-class JordanSplit:
-    """Monotone split f = f_plus + f_minus anchored at the domain's lower end.
-
-    f_plus is nondecreasing with f_plus(lo) = 0; f_minus = f - f_plus is
-    nonincreasing.  Evaluations are memoized; tol is the variation tolerance
-    they were computed with.
-    """
-
-    fplus: Callable[[float], float]
-    fminus: Callable[[float], float]
-    tol: float
-
-
 def jordan_split(f: ScalarFunction, tol: float = 1e-8,
                  max_cells: int = DEFAULT_MAX_CELLS) -> JordanSplit:
-    """Split a finite-domain function of bounded variation into monotone halves.
+    """The Jordan split of a finite-domain function of bounded variation.
 
-    f_plus(x) is the variation of f over [lo, x], read from the partition
-    that total_variation converged on over the whole domain:
-    cum[k] + |f(x) - f(p_k)|, where p_k is the last node <= x.  At a node
-    that is the prefix sum; elsewhere it is the variation of the partition
-    refined by x.  So no second partition is built, f_plus is nondecreasing
-    over the nodes, and f_plus(hi) is the total variation bit for bit.
-    max_cells caps the partition, and must be at least MIN_CELLS, as in
-    total_variation.
+    It is the partition that total_variation converged on over the whole
+    domain, so no second partition is built, f⁺ is nondecreasing over the
+    nodes, and f⁺(hi) is the total variation bit for bit.  max_cells caps
+    the partition, and must be at least MIN_CELLS, as in total_variation.
     """
     if f.domain is None:
         raise ValueError("a finite domain is required for a two-sided split")
-    domain = f.domain
-    # validates tol and max_cells, and converges the partition that the split reads
-    total_variation(f, domain, tol, max_cells)
-    part = _partition(f, domain.lo, domain.hi, tol, max_cells)
-    memo: dict[float, float] = {}
-
-    def fplus(x: float) -> float:
-        x = float(x)
-        if not domain.contains(x):
-            raise ValueError(f"{x} outside the domain [{domain.lo}, {domain.hi}]")
-        if x not in memo:
-            memo[x] = part.variation_to(f, x)
-        return memo[x]
-
-    def fminus(x: float) -> float:
-        return f(x) - fplus(x)
-
-    return JordanSplit(fplus, fminus, tol)
-
-
-def bv_decomposition_eval(f: ScalarFunction, x: float, y: float, tol: float = 1e-8) -> float:
-    """Two-argument decomposition value g(x, y) = f_plus(x) + f_minus(y).
-
-    The halves come from the Jordan split, built once per tol and kept on f.
-    g agrees with f on the diagonal, is nondecreasing in x and nonincreasing
-    in y, and brackets f over [lo, hi] via g(lo, hi) <= f <= g(hi, lo).
-    """
-    if f.domain is None:
-        raise ValueError("use unbounded_decomposition for whole-line functions")
-    split = f._split_cache.get(tol)
-    if split is None:
-        split = f._split_cache[tol] = jordan_split(f, tol)
-    return split.fplus(x) + split.fminus(y)
+    # validates tol and max_cells, and converges the partition returned below
+    total_variation(f, f.domain, tol, max_cells)
+    return _partition(f, f.domain.lo, f.domain.hi, tol, max_cells)
 
 
 @dataclass(eq=False)
@@ -376,11 +353,11 @@ def unbounded_split(f: ScalarFunction, tol: float = 1e-8) -> UnboundedSplit:
 
     Requires bounded variation on every compact interval.  g1 and g2 read
     the variation between their argument and the base point 0 from one
-    partition of a window [lo, hi] around 0, by the prefix read of
-    jordan_split.  An argument outside the window grows that side to at
-    least twice its reach, and the window is partitioned again; so a sweep
-    over arguments builds a few partitions, not one per argument.  Raises
-    ValueError unless 0 < tol < inf.
+    partition of a window [lo, hi] around 0, as the difference of its f⁺ at
+    both.  An argument outside the window grows that side to at least twice
+    its reach, capped at the largest float, and the window is partitioned
+    again; so a sweep over arguments builds a few partitions, not one per
+    argument.  Raises ValueError unless 0 < tol < inf.
     """
     if f.domain is not None:
         raise ValueError("function must be declared on the whole line (domain=None)")
@@ -398,9 +375,12 @@ def unbounded_split(f: ScalarFunction, tol: float = 1e-8) -> UnboundedSplit:
         if not math.isfinite(x):
             raise ValueError("arguments must be finite")
         if not lo <= x <= hi:
-            lo, hi = (min(x, 2.0 * lo), hi) if x < lo else (lo, max(x, 2.0 * hi))
+            if x < lo:
+                lo = min(x, max(2.0 * lo, -sys.float_info.max))
+            else:
+                hi = max(x, min(2.0 * hi, sys.float_info.max))
             part = _partition(f, lo, hi, tol, DEFAULT_MAX_CELLS)
-        return part.variation_to(f, x) - part.variation_to(f, 0.0)
+        return part.fplus(x) - part.fplus(0.0)
 
     def g1(x: float) -> float:
         x = float(x)

@@ -13,7 +13,7 @@ import pytest
 
 from mixedmono import (BoxDomain, Interval, ScalarFunction, VectorField,
                        bound_box, build_decomposition, build_embedding,
-                       bv_decomposition_eval, eval_decomposition,
+                       eval_decomposition,
                        integrate_embedding, jacobian_bounds, jordan_split,
                        refine_bounds, total_variation, unbounded_split)
 
@@ -37,7 +37,8 @@ def _decompose(field, box, slack=1e-9, epsilon=0.0):
 
 def _bv_bracket(text, lo, hi, tol=1e-8):
     f = ScalarFunction.from_string(text, lo, hi)
-    return bv_decomposition_eval(f, lo, hi, tol), bv_decomposition_eval(f, hi, lo, tol)
+    split = jordan_split(f, tol)
+    return split.g(lo, hi), split.g(hi, lo)
 
 
 def test_1_linear_example_brackets(capfd):

@@ -473,6 +473,246 @@ def test_tv_csv_schema(capsys):
     assert lines[3] == "1,2,-1,2,-1,3"
 
 
+# -- tv's output, pinned -------------------------------------------------------------
+
+# The 14 tv inputs of perfbench/inputs.py at seed 1 (7 smooth, 7 with kinks),
+# and the text they printed when recorded: (label, expr, a, b, grid, stdout).
+GOLDEN_TV = [
+    ('xsinx', '1.05352*x1*sin(x1) + 0.0311545', '-10.0', '10.0', '9',
+     'TV = 72.7814117\n'
+     'bounds: f ∈ [-78.4816284, 67.081195]  (g(lo,hi) = -78.4816284, g(hi,lo) = 67.081195)\n'
+     'x f+ f-\n'
+     '-10 0 -5.70021671\n'
+     '-7.5 15.0007194 -7.55805192\n'
+     '-5 27.463462 -32.483537\n'
+     '-2.5 34.132769 -32.5253586\n'
+     '0 36.3907059 -36.3595514\n'
+     '2.5 38.6486427 -37.0412323\n'
+     '5 45.3179498 -50.3380248\n'
+     '7.5 57.7806923 -50.3380248\n'
+     '10 72.7814117 -78.4816284\n'),
+    ('two_tones', '1.15807*(sin(3*x1) + 0.5*cos(5*x1)) + 0.336463', '0.0', '6.283185307179586', '9',
+     'TV = 16.498363\n'
+     'bounds: f ∈ [-15.582865, 17.413861]  (g(lo,hi) = -15.582865, g(hi,lo) = 17.413861)\n'
+     'x f+ f-\n'
+     '0 0 0.915498\n'
+     '0.785398163 0.959000339 -0.213097764\n'
+     '1.57079633 2.52650991 -3.34811691\n'
+     '2.35619449 5.49048834 -3.92570662\n'
+     '3.14159265 8.24918148 -8.49175348\n'
+     '3.92699082 9.20818182 -9.2811584\n'
+     '4.71238898 10.7756914 -9.2811584\n'
+     '5.49778714 13.7396698 -14.6315256\n'
+     '6.28318531 16.498363 -15.582865\n'),
+    ('cubic', '1.17461*(x1^3 - 3*x1) + -0.396583', '-2.0', '2.0', '9',
+     'TV = 14.09532\n'
+     'bounds: f ∈ [-12.142683, 11.349517]  (g(lo,hi) = -12.142683, g(hi,lo) = 11.349517)\n'
+     'x f+ f-\n'
+     '-2 0 -2.745803\n'
+     '-1.5 3.67065625 -2.745803\n'
+     '-1 4.69844 -2.745803\n'
+     '-0.5 5.43257125 -4.2140655\n'
+     '0 7.04766 -7.444243\n'
+     '0.5 8.66274875 -10.6744205\n'
+     '1 9.39688 -12.142683\n'
+     '1.5 10.4246638 -12.142683\n'
+     '2 14.09532 -12.142683\n'),
+    ('gauss_wave', '0.862677*exp(-x1^2)*cos(4*x1) + -0.136029', '-3.0', '3.0', '9',
+     'TV = 4.11889573\n'
+     'bounds: f ∈ [-4.25483489, 3.98295656]  (g(lo,hi) = -4.25483489, g(hi,lo) = 3.98295656)\n'
+     'x f+ f-\n'
+     '-3 0 -0.135939161\n'
+     '-2.25 0.00510367656 -0.146107903\n'
+     '-1.5 0.0989416589 -0.147666708\n'
+     '-0.75 0.687451583 -1.31010005\n'
+     '0 2.05944786 -1.33279986\n'
+     '0.75 3.43144414 -4.05409261\n'
+     '1.5 4.01995407 -4.06867912\n'
+     '2.25 4.11379205 -4.25479628\n'
+     '3 4.11889573 -4.25483489\n'),
+    ('sin_squared', '0.956595*(sin(x1)^2 + 0.05*x1) + -0.324353', '0.0', '9.0', '9',
+     'TV = 5.60339732\n'
+     'bounds: f ∈ [-5.3348129, 5.27904432]  (g(lo,hi) = -5.3348129, g(hi,lo) = 5.27904432)\n'
+     'x f+ f-\n'
+     '0 0 -0.324353\n'
+     '1.125 0.832559842 -0.324353\n'
+     '2.25 1.37791004 -1.0155255\n'
+     '3.375 1.9779206 -2.08967339\n'
+     '4.5 2.8946431 -2.08967339\n'
+     '5.625 3.50353385 -3.20092953\n'
+     '6.75 4.04724004 -3.85499379\n'
+     '7.875 4.86347254 -3.85499379\n'
+     '9 5.60339732 -5.3348129\n'),
+    ('rational', '1.10229*x1/(1 + x1^2) + -0.40189', '-5.0', '5.0', '9',
+     'TV = 1.78062231\n'
+     'bounds: f ∈ [-1.97053346, 1.16675346]  (g(lo,hi) = -1.97053346, g(hi,lo) = 1.16675346)\n'
+     'x f+ f-\n'
+     '-5 0 -0.613868846\n'
+     '-3.75 0.0624501995 -0.738769245\n'
+     '-2.5 0.168121154 -0.950111154\n'
+     '-1.25 0.325723593 -1.26531603\n'
+     '0 0.890311154 -1.29220115\n'
+     '1.25 1.45489871 -1.31908628\n'
+     '2.5 1.61250115 -1.63429115\n'
+     '3.75 1.71817211 -1.84563306\n'
+     '5 1.78062231 -1.97053346\n'),
+    ('quartic', '1.07672*(x1^4 - 4*x1^2 + 0.3*x1) + -0.3583', '-2.5', '2.5', '9',
+     'TV = 47.5345047\n'
+     'bounds: f ∈ [-31.9438897, 61.5100397]  (g(lo,hi) = -31.9438897, g(hi,lo) = 61.5100397)\n'
+     'x f+ f-\n'
+     '-2.5 0 13.975535\n'
+     '-1.875 16.7730159 -19.5704968\n'
+     '-1.25 19.3626415 -24.2255005\n'
+     '-0.625 22.147235 -24.2255005\n'
+     '0 23.8672005 -24.2255005\n'
+     '0.625 25.1955135 -26.870009\n'
+     '1.25 27.576337 -31.631656\n'
+     '1.875 30.3577189 -31.9438897\n'
+     '2.5 47.5345047 -31.9438897\n'),
+    ('abs_xsinx', '0.953466*abs(x1*sin(x1)) + -0.280045', '-5.5', '5.5', '5',
+     'TV = 17.9020478\n'
+     'bounds: f ∈ [-14.4821949, 21.3219007]  (g(lo,hi) = -14.4821949, g(hi,lo) = 21.3219007)\n'
+     'x f+ f-\n'
+     '-5.5 0 3.41985292\n'
+     '-2.75 6.48169592 -5.76101378\n'
+     '0 8.95102389 -9.23106889\n'
+     '2.75 11.4203519 -10.6996697\n'
+     '5.5 17.9020478 -14.4821949\n'),
+    ('max_waves', '1.10238*max(sin(3*x1), cos(x1)) + 0.0811054', '-1.1', '2.3', '5',
+     'TV = 3.35393762\n'
+     'bounds: f ∈ [-2.63517179, 3.93507831]  (g(lo,hi) = -2.63517179, g(hi,lo) = 3.93507831)\n'
+     'x f+ f-\n'
+     '-1.1 0 0.581140692\n'
+     '-0.25 0.568074383 0.581140692\n'
+     '0.6 0.799001918 0.355653633\n'
+     '1.45 1.73971223 -1.52576698\n'
+     '2.3 3.35393762 -2.63517179\n'),
+    ('abs_parabola', '1.09819*abs(x1^2 - 1.21) + 0.0393231', '-3.0', '3.0', '9',
+     'TV = 19.76742\n'
+     'bounds: f ∈ [-11.1731968, 28.3616432]  (g(lo,hi) = -11.1731968, g(hi,lo) = 28.3616432)\n'
+     'x f+ f-\n'
+     '-3 0 8.5942232\n'
+     '-2.25 4.32412312 -0.05402305\n'
+     '-1.5 7.4127825 -6.2313418\n'
+     '-0.75 9.26597812 -8.515577\n'
+     '0 9.88371 -8.515577\n'
+     '0.75 10.5014419 -9.75104075\n'
+     '1.5 12.3546375 -11.1731968\n'
+     '2.25 15.4432969 -11.1731968\n'
+     '3 19.76742 -11.1731968\n'),
+    ('clipped', '0.836385*(min(x1^2, 1) + 0.4*x1) + 0.280331', '-2.0', '2.0', '17',
+     'TV = 2.4087888\n'
+     'bounds: f ∈ [-0.6229648, 2.8563968]  (g(lo,hi) = -0.6229648, g(hi,lo) = 2.8563968)\n'
+     'x f+ f-\n'
+     '-2 0 0.447608\n'
+     '-1.75 0.0836385 0.447608\n'
+     '-1.5 0.167277 0.447608\n'
+     '-1.25 0.2509155 0.447608\n'
+     '-1 0.334554 0.447608\n'
+     '-0.75 0.616833938 -0.116951875\n'
+     '-0.5 0.79456575 -0.4724155\n'
+     '-0.25 0.867749438 -0.618782875\n'
+     '0 0.9032958 -0.6229648\n'
+     '0.25 1.03920836 -0.6229648\n'
+     '0.5 1.27966905 -0.6229648\n'
+     '0.75 1.62467786 -0.6229648\n'
+     '1 2.0742348 -0.6229648\n'
+     '1.25 2.1578733 -0.6229648\n'
+     '1.5 2.2415118 -0.6229648\n'
+     '1.75 2.3251503 -0.6229648\n'
+     '2 2.4087888 -0.6229648\n'),
+    ('abs_sin', '1.18471*abs(sin(x1)) + -0.445061', '0.0', '7.0', '9',
+     'TV = 5.51717859\n'
+     'bounds: f ∈ [-5.183901, 5.07211759]  (g(lo,hi) = -5.183901, g(hi,lo) = 5.07211759)\n'
+     'x f+ f-\n'
+     '0 0 -0.445061\n'
+     '0.875 0.909316463 -0.445061\n'
+     '1.75 1.20368201 -0.483005018\n'
+     '2.625 1.78426768 -1.64417637\n'
+     '3.5 2.7849964 -2.814481\n'
+     '4.375 3.48733865 -2.814481\n'
+     '5.25 3.72125172 -3.14872443\n'
+     '6.125 4.55221686 -4.81065472\n'
+     '7 5.51717859 -5.183901\n'),
+    ('vee', '1.02061*(abs(x1 - 0.3) + 0.2*x1) + 0.269555', '-2.0', '2.0', '17',
+     'TV = 3.9599668\n'
+     'bounds: f ∈ [-1.5471308, 6.1686808]  (g(lo,hi) = -1.5471308, g(hi,lo) = 6.1686808)\n'
+     'x f+ f-\n'
+     '-2 0 2.208714\n'
+     '-1.75 0.204122 1.80047\n'
+     '-1.5 0.408244 1.392226\n'
+     '-1.25 0.612366 0.983982\n'
+     '-1 0.816488 0.575738\n'
+     '-0.75 1.02061 0.167494\n'
+     '-0.5 1.224732 -0.24075\n'
+     '-0.25 1.428854 -0.648994\n'
+     '0 1.632976 -1.057238\n'
+     '0.25 1.837098 -1.465482\n'
+     '0.5 2.1228688 -1.5471308\n'
+     '0.75 2.4290518 -1.5471308\n'
+     '1 2.7352348 -1.5471308\n'
+     '1.25 3.0414178 -1.5471308\n'
+     '1.5 3.3476008 -1.5471308\n'
+     '1.75 3.6537838 -1.5471308\n'
+     '2 3.9599668 -1.5471308\n'),
+    ('narrow_spike', 'max(0, 1 - 1000*abs(x1 - 0.3001))', '-1.0', '1.0', '9',
+     'TV = 2\n'
+     'bounds: f ∈ [-2, 2]  (g(lo,hi) = -2, g(hi,lo) = 2)\n'
+     'x f+ f-\n'
+     '-1 0 0\n'
+     '-0.75 0 0\n'
+     '-0.5 0 0\n'
+     '-0.25 0 0\n'
+     '0 0 0\n'
+     '0.25 0 0\n'
+     '0.5 2 -2\n'
+     '0.75 2 -2\n'
+     '1 2 -2\n'),
+]
+
+
+# tv --format csv on the shipped scalar configs
+GOLDEN_TV_CSV = {
+    'decay.ini': ('x,fplus,fminus,tv,lower,upper\n'
+                  '0,0,-0,1,-2,1\n'
+                  '0.1,0.1,-0.2,1,-2,1\n'
+                  '0.2,0.2,-0.4,1,-2,1\n'
+                  '0.3,0.3,-0.6,1,-2,1\n'
+                  '0.4,0.4,-0.8,1,-2,1\n'
+                  '0.5,0.5,-1,1,-2,1\n'
+                  '0.6,0.6,-1.2,1,-2,1\n'
+                  '0.7,0.7,-1.4,1,-2,1\n'
+                  '0.8,0.8,-1.6,1,-2,1\n'
+                  '0.9,0.9,-1.8,1,-2,1\n'
+                  '1,1,-2,1,-2,1\n'),
+    'square.ini': ('x,fplus,fminus,tv,lower,upper\n'
+                   '-1,0,1,2,-1,3\n'
+                   '-0.8,0.36,0.28,2,-1,3\n'
+                   '-0.6,0.64,-0.28,2,-1,3\n'
+                   '-0.4,0.84,-0.68,2,-1,3\n'
+                   '-0.2,0.96,-0.92,2,-1,3\n'
+                   '0,1,-1,2,-1,3\n'
+                   '0.2,1.04,-1,2,-1,3\n'
+                   '0.4,1.16,-1,2,-1,3\n'
+                   '0.6,1.36,-1,2,-1,3\n'
+                   '0.8,1.64,-1,2,-1,3\n'
+                   '1,2,-1,2,-1,3\n'),
+}
+
+
+@pytest.mark.parametrize("label, expr, a, b, grid, want", GOLDEN_TV,
+                         ids=[case[0] for case in GOLDEN_TV])
+def test_tv_prints_the_golden_split(capsys, label, expr, a, b, grid, want):
+    argv = ["tv", "--expr", expr, "--a", a, "--b", b, "--grid", grid]
+    assert _run(capsys, argv) == (0, want, "")
+
+
+@pytest.mark.parametrize("config", sorted(GOLDEN_TV_CSV))
+def test_tv_csv_prints_the_golden_split(capsys, config):
+    argv = ["tv", str(CONFIGS / config), "--format", "csv"]
+    assert _run(capsys, argv) == (0, GOLDEN_TV_CSV[config], "")
+
+
 def test_tv_source_validation(capsys, cfg_file):
     rc, _, err = _run(capsys, ["tv"])
     assert rc == 1 and "config file or --expr" in err
@@ -695,6 +935,18 @@ def test_bound_with_overflowing_derivative_enclosure(capsys, cfg_file):
         assert err == "error: derivative enclosure for f1/x1 is (-inf, inf)\n"
 
 
+def test_commands_on_a_box_wider_than_the_largest_float(capsys, cfg_file):
+    # b - a = 2e308 overflows, and every grid point was NaN: both exited 5
+    # with "point entries must be finite"
+    path = cfg_file(_scalar("x1", "[-1e308, 1e308]"))
+    assert _run(capsys, ["bound", path, "--check"]) == (
+        0, "f1 ∈ [-1e+308, 1e+308]\ncheck f1: grid range [-1e+308, 1e+308] enclosed=yes\n", "")
+    rc, out, err = _run(capsys, ["tv", "--expr", "x1/1e10", "--a=-1e308", "--b", "1e308"])
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[:2] == [
+        "TV = 2e+298", "bounds: f ∈ [-1e+298, 1e+298]  (g(lo,hi) = -1e+298, g(hi,lo) = 1e+298)"]
+
+
 def test_tv_split_is_consistent_with_printed_variation(capsys):
     # the split must be read from the same partition as the printed TV
     rc, out, _ = _run(capsys, ["tv", "--expr", "max(0, 1 - 1000*abs(x1 - 0.3001))",
@@ -807,3 +1059,32 @@ def test_perfbench_tracer_finds_and_restores_its_names(capsys, cfg_file, monkeyp
     after = program_attributes()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def test_every_exported_function_serves_a_command(capsys, cfg_file):
+    # each subcommand on each shipped config, profiled: a public function that
+    # no command calls is API that only the tests use
+    import inspect
+    import mixedmono
+
+    exported = {getattr(mixedmono, name).__code__: name for name in mixedmono.__all__
+                if inspect.isfunction(getattr(mixedmono, name))}
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in exported:
+            called.add(exported[frame.f_code])
+
+    sys.setprofile(profile)
+    try:
+        for config in sorted(CONFIGS.glob("*.ini")):
+            for argv in (["decompose"], ["bound", "--depth", "1", "--check"],
+                         ["reach", "--t-end", "0.01"], ["tv"]):
+                _run(capsys, [argv[0], str(config), *argv[1:]])
+    finally:
+        sys.setprofile(None)
+    # perfbench/layers.py traces these four by name (ROADMAP item 7), and the
+    # whole-line construction is kept until a command reaches it (item 17)
+    exempt = {"evaluate", "eval_interval", "eval_decomposition", "bound_box",
+              "unbounded_split", "unbounded_decomposition"}
+    assert set(exported.values()) - called == exempt

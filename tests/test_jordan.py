@@ -10,8 +10,8 @@ import pytest
 
 import mixedmono
 from mixedmono import (DimensionError, Interval, NonConvergenceError, ScalarFunction,
-                       bv_decomposition_eval, jordan_split, total_variation,
-                       unbounded_decomposition, unbounded_split)
+                       jordan_split, total_variation, unbounded_decomposition,
+                       unbounded_split)
 from mixedmono.jordan import MIN_CELLS, linspace
 
 TWO_PI = 2.0 * math.pi
@@ -208,6 +208,15 @@ def test_linspace_matches_numpy(rng):
             list(map(repr, np.linspace(a, b, cells + 1).tolist())), (a, b, cells)
 
 
+def test_linspace_spaces_points_where_the_step_overflows():
+    # b - a overflows, and numpy's points are NaN there
+    xs = linspace(-1e308, 1e308, 4)
+    assert xs == [-1e308, -5e307, 0.0, 5e307, 1e308]
+    xs = linspace(-1.7e308, 1.79e308, 32)
+    assert xs[0] == -1.7e308 and xs[-1] == 1.79e308
+    assert all(math.isfinite(x) for x in xs) and xs == sorted(set(xs))
+
+
 def test_variation_input_validation():
     f = _on("sin(x1)", 0.0, TWO_PI)
     with pytest.raises(ValueError):
@@ -225,7 +234,7 @@ def test_tolerance_must_be_positive_and_finite(tol):
     f = _on("sin(700*x1)", 0.0, TWO_PI)
     g = ScalarFunction.on_reals("x1*sin(x1)")
     calls = [lambda: total_variation(f, f.domain, tol), lambda: jordan_split(f, tol),
-             lambda: bv_decomposition_eval(f, 0.0, 1.0, tol), lambda: unbounded_split(g, tol),
+             lambda: jordan_split(f, tol).g(0.0, 1.0), lambda: unbounded_split(g, tol),
              lambda: unbounded_decomposition(g, 1.0, 1.0, tol)]
     for call in calls:
         with pytest.raises(ValueError, match="tol must be positive and finite"):
@@ -351,37 +360,38 @@ def test_split_rejects_points_outside_domain():
 # -- two-argument bracket from the variation structure ---------------------------
 
 def test_bracket_matches_linear_closed_form(rng):
-    f = _on("-x1", 0.0, 1.0)
-    assert bv_decomposition_eval(f, 0.3, 0.7) == pytest.approx(0.3 - 1.4, abs=1e-9)
-    assert bv_decomposition_eval(f, 0.0, 1.0) == pytest.approx(-2.0, abs=1e-9)
-    assert bv_decomposition_eval(f, 1.0, 0.0) == pytest.approx(1.0, abs=1e-9)
+    g = jordan_split(_on("-x1", 0.0, 1.0)).g
+    assert g(0.3, 0.7) == pytest.approx(0.3 - 1.4, abs=1e-9)
+    assert g(0.0, 1.0) == pytest.approx(-2.0, abs=1e-9)
+    assert g(1.0, 0.0) == pytest.approx(1.0, abs=1e-9)
     for _ in range(25):
         x, y = rng.uniform(0.0, 1.0, size=2)
-        assert bv_decomposition_eval(f, x, y) == pytest.approx(x - 2.0 * y, abs=1e-9)
+        assert g(x, y) == pytest.approx(x - 2.0 * y, abs=1e-9)
 
 
 def test_bracket_corners_for_square():
-    f = _on("x1^2", -1.0, 1.0)
-    assert bv_decomposition_eval(f, 1.0, -1.0) == pytest.approx(3.0, abs=1e-9)
-    assert bv_decomposition_eval(f, -1.0, 1.0) == pytest.approx(-1.0, abs=1e-9)
-    assert bv_decomposition_eval(f, 0.5, 0.5) == pytest.approx(0.25, abs=1e-9)
+    g = jordan_split(_on("x1^2", -1.0, 1.0)).g
+    assert g(1.0, -1.0) == pytest.approx(3.0, abs=1e-9)
+    assert g(-1.0, 1.0) == pytest.approx(-1.0, abs=1e-9)
+    assert g(0.5, 0.5) == pytest.approx(0.25, abs=1e-9)
 
 
 def test_bracket_diagonal_identity(rng):
     tol = 1e-8
     f = _on("sin(x1)", 0.0, TWO_PI)
+    g = jordan_split(f, tol).g
     for x in rng.uniform(0.0, TWO_PI, size=20):
-        assert bv_decomposition_eval(f, x, x, tol) == pytest.approx(f(x), abs=10 * tol)
+        assert g(x, x) == pytest.approx(f(x), abs=10 * tol)
 
 
 def test_bracket_axioms_on_sampled_pairs(rng):
     tol = 1e-8
-    f = _on("sin(x1)", 0.0, TWO_PI)
+    g = jordan_split(_on("sin(x1)", 0.0, TWO_PI), tol).g
     for _ in range(100):
         a, b = np.sort(rng.uniform(0.0, TWO_PI, size=2))
         y = float(rng.uniform(0.0, TWO_PI))
-        assert bv_decomposition_eval(f, b, y, tol) >= bv_decomposition_eval(f, a, y, tol) - 10 * tol
-        assert bv_decomposition_eval(f, y, b, tol) <= bv_decomposition_eval(f, y, a, tol) + 10 * tol
+        assert g(b, y) >= g(a, y) - 10 * tol
+        assert g(y, b) <= g(y, a) + 10 * tol
 
 
 def test_bracket_endpoints_offset_by_total_variation():
@@ -396,8 +406,8 @@ def test_bracket_endpoints_offset_by_total_variation():
     for f, tol in cases:
         lo, hi = f.domain.lo, f.domain.hi
         tv = total_variation(f, f.domain, tol)
-        upper = bv_decomposition_eval(f, hi, lo, tol)
-        lower = bv_decomposition_eval(f, lo, hi, tol)
+        split = jordan_split(f, tol)
+        upper, lower = split.g(hi, lo), split.g(lo, hi)
         assert upper == pytest.approx(f(lo) + tv, abs=10 * tol)
         assert lower == pytest.approx(f(hi) - tv, abs=10 * tol)
         samples = [f(x) for x in np.linspace(lo, hi, 200)]
@@ -412,24 +422,23 @@ def test_bracket_split_and_integral_forms_agree(rng):
         split = jordan_split(f, tol)
         for _ in range(25):
             x, y = rng.uniform(lo, hi, size=2)
-            direct = bv_decomposition_eval(f, x, y, tol)
-            assert split.fplus(x) + split.fminus(y) == pytest.approx(direct, abs=10 * tol)
+            assert split.fplus(x) + split.fminus(y) == pytest.approx(split.g(x, y), abs=10 * tol)
 
 
 def test_bracket_with_kink_corner_values():
-    f = _on("abs(x1)", -1.0, 1.0)
     tol = 1e-8
-    assert bv_decomposition_eval(f, 1.0, -1.0, tol) == pytest.approx(3.0, abs=10 * tol)
-    assert bv_decomposition_eval(f, -1.0, 1.0, tol) == pytest.approx(-1.0, abs=10 * tol)
-    assert bv_decomposition_eval(f, 0.5, 0.5, tol) == pytest.approx(0.5, abs=10 * tol)
+    g = jordan_split(_on("abs(x1)", -1.0, 1.0), tol).g
+    assert g(1.0, -1.0) == pytest.approx(3.0, abs=10 * tol)
+    assert g(-1.0, 1.0) == pytest.approx(-1.0, abs=10 * tol)
+    assert g(0.5, 0.5) == pytest.approx(0.5, abs=10 * tol)
 
 
 def test_bracket_input_validation():
     with pytest.raises(ValueError):
-        bv_decomposition_eval(ScalarFunction.on_reals("x1"), 0.0, 0.0)
+        jordan_split(ScalarFunction.on_reals("x1")).g(0.0, 0.0)
     f = _on("x1", 0.0, 1.0)
     with pytest.raises(ValueError):
-        bv_decomposition_eval(f, 0.5, 2.0)
+        jordan_split(f).g(0.5, 2.0)
 
 
 # -- whole-line construction ------------------------------------------------------
@@ -493,6 +502,15 @@ def test_whole_line_base_value_restored():
     assert s.f_base == pytest.approx(3.0)
     got = unbounded_decomposition(f, 2.0, 2.0)
     assert got == pytest.approx(3.0 + 2.0 * math.sin(2.0), abs=1e-7)
+
+
+def test_whole_line_window_stops_growing_at_the_largest_float():
+    # the window [0, 1e308] doubled to [0, inf], whose grid points are NaN
+    f = ScalarFunction.on_reals("x1")
+    assert unbounded_decomposition(f, 1e308, 1e308) == 1e308
+    assert unbounded_decomposition(f, 1.5e308, 1.5e308) == 1.5e308
+    fresh = ScalarFunction.on_reals("x1")
+    assert unbounded_decomposition(fresh, 1.5e308, 1.5e308) == 1.5e308
 
 
 def test_whole_line_input_validation():
