@@ -10,7 +10,7 @@ from .decomp import (DecompositionSpec, bound_box, build_decomposition,
                      eval_decomposition, format_decomposition, refine_bounds)
 from .jordan import (JordanSplit, ScalarFunction, UnboundedSplit, jordan_split,
                      total_variation, unbounded_decomposition, unbounded_split)
-from .embed import EmbeddingSystem, ReachTube, build_embedding, integrate_embedding
+from .embed import EmbeddingSystem, ReachTube, integrate_embedding
 
 __version__ = "0.1.0"
 
@@ -25,6 +25,6 @@ __all__ = [
     "format_decomposition", "refine_bounds",
     "JordanSplit", "ScalarFunction", "UnboundedSplit", "jordan_split", "total_variation",
     "unbounded_decomposition", "unbounded_split",
-    "EmbeddingSystem", "ReachTube", "build_embedding", "integrate_embedding",
+    "EmbeddingSystem", "ReachTube", "integrate_embedding",
     "__version__",
 ]

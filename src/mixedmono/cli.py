@@ -27,14 +27,15 @@ points (it has at least 2 per axis, so at most 20 axes).  reach refuses
 an --x0-lo/--x0-hi box that is not inside [domain], where g was built.  tv
 takes --max-cells from 32 to 2^20 and --grid from 2 to MAX_STEPS = 10^6
 points, the cap on reach's steps, and refuses --a/--b without --expr: a
-config's interval is its [domain].  Exit codes: 0 success, 1 config or
-usage error (each refusal above among them), or stdout closed before the
-output was written (a broken pipe, as in `mixedmono tv ... | head -1`), 2
-unbounded derivative enclosure or an offset |a| + epsilon that overflows,
-or for tv an f' unbounded on a cell too narrow to split (a pole or a 0/0
-like x1/x1 inside [a, b]), 3 integration blowup, 4 non-convergence, 5 an
-evaluation error (division by zero, overflow, sin or cos of an infinity, a
-non-finite intermediate) at a point the command evaluates.
+config's interval is its [domain].  Exit codes: 0 success, 1 config or usage
+error (each refusal above among them), or stdout closed before the output
+was written (a broken pipe, as in `mixedmono tv ... | head -1`), 2 unbounded
+derivative enclosure or an offset |a| + epsilon that overflows, or for tv an
+f' unbounded on a cell too narrow to split (a pole or a 0/0 like x1/x1
+inside [a, b]) or a TV, f+, f- or g that overflows, 3 integration blowup, 4
+non-convergence, 5 an evaluation error (division by zero, overflow, sin or
+cos of an infinity, a non-finite intermediate) at a point the command
+evaluates.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from dataclasses import dataclass, fields, replace
 from functools import partial
 
 from .decomp import build_decomposition, format_decomposition, refine_bounds
-from .embed import build_embedding, integrate_embedding
+from .embed import EmbeddingSystem, integrate_embedding
 from .errors import (BlowupError, ConfigError, EvalError, NonConvergenceError, ParseError,
                      ToolkitError, UnboundedDerivativeError)
 from .interval import BoxDomain, Interval
@@ -78,8 +79,6 @@ class Options:
 
 @dataclass
 class RunConfig:
-    dim: int
-    expressions: tuple[str, ...]
     field: VectorField
     domain: BoxDomain
     options: Options
@@ -209,7 +208,7 @@ def parse_config_text(text: str) -> RunConfig:
                 raise ConfigError(f"unexpected [options] key: {key}")
             setattr(opts, _OPTIONS[key][0], _option(key, raw, f"options.{key}: "))
 
-    return RunConfig(dim, tuple(exprs), vf, box, opts)
+    return RunConfig(vf, box, opts)
 
 
 def parse_config(path: str) -> RunConfig:
@@ -313,13 +312,13 @@ def _parse_vector(flag: str, raw: str, n: int) -> list[float]:
 
 def cmd_reach(args) -> int:
     cfg = parse_config(args.config)
-    if cfg.field.m != cfg.dim:
-        raise ConfigError(f"reach needs a square config: dim = {cfg.dim} components, "
+    n = cfg.field.n
+    if cfg.field.m != n:
+        raise ConfigError(f"reach needs a square config: dim = {n} components, "
                           f"got {cfg.field.m}")
     opts = _merged(cfg.options, args)
     if not opts.t_end / opts.step <= MAX_STEPS:
         raise ConfigError(f"t_end/step must be at most {MAX_STEPS}")
-    n = cfg.dim
     x_lo = cfg.domain.lower_corner() if args.x0_lo is None else _parse_vector("--x0-lo", args.x0_lo, n)
     x_hi = cfg.domain.upper_corner() if args.x0_hi is None else _parse_vector("--x0-hi", args.x0_hi, n)
     if any(a > b for a, b in zip(x_lo, x_hi)):
@@ -330,7 +329,7 @@ def cmd_reach(args) -> int:
 
     jb = jacobian_bounds(cfg.field, cfg.domain, slack=opts.slack)
     spec = build_decomposition(jb, opts.epsilon)
-    system = build_embedding(cfg.field, spec)
+    system = EmbeddingSystem(cfg.field, spec)
     tube = integrate_embedding(system, x_lo, x_hi, opts.t_end, step=opts.step)
 
     header = "t," + ",".join(f"lower_{j + 1}" for j in range(n)) \
@@ -371,7 +370,7 @@ def cmd_tv(args) -> int:
         if args.a is not None or args.b is not None:
             raise ConfigError("--a and --b go with --expr; a config's interval is its [domain]")
         cfg = parse_config(args.config)
-        if cfg.dim != 1 or cfg.field.m != 1:
+        if cfg.field.n != 1 or cfg.field.m != 1:
             raise ConfigError("tv needs a scalar config: dim = 1 and a single f1")
         opts = _merged(cfg.options, args)
         f = ScalarFunction(cfg.field.components[0], cfg.domain[0])
@@ -415,6 +414,11 @@ class _ArgumentParser(argparse.ArgumentParser):
         # argparse exits 2 by default, which collides with the unbounded-
         # derivative code; usage problems belong to the config-error class
         raise ConfigError(message)
+
+    def _parse_optional(self, arg_string):
+        # no flag starts with a digit or ".": so -1e-5 and -0.5,0 are values,
+        # not the unknown flags of argparse's pattern for negative numbers
+        return None if re.match(r"-[\d.]", arg_string) else super()._parse_optional(arg_string)
 
 
 def _add_option(parser: argparse.ArgumentParser, flag: str, key: str) -> None:

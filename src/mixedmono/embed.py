@@ -21,7 +21,6 @@ from an inclusion function and compiles it once, through JAX.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,18 +30,22 @@ from .interval import leq_orthant
 from .jacbounds import VectorField
 
 DEFAULT_STEP = 1e-3
-DEFAULT_CAP = 1e12
+MAGNITUDE_CAP = 1e12  # a state entry past it is divergence
 
 
 @dataclass(eq=False)
 class EmbeddingSystem:
-    """The 2n-dimensional stacked system for a square field and its decomposition."""
+    """The 2n-dimensional stacked system for a square field and its decomposition;
+    a field that is not square raises DimensionError when the system is built."""
 
     field: VectorField
     spec: DecompositionSpec
 
     def __post_init__(self):
-        self._kernel = decomposition_kernel(self.spec, self.field)
+        f = self.field
+        if f.m != f.n:
+            raise DimensionError(f"embedding needs a square field, got m={f.m}, n={f.n}")
+        self._kernel = decomposition_kernel(self.spec, f)
 
     @property
     def n(self) -> int:
@@ -58,12 +61,6 @@ class EmbeddingSystem:
         if type(state) is not list:
             state = list(map(float, state))
         return self._kernel(state, True)
-
-
-def build_embedding(f: VectorField, spec: DecompositionSpec) -> EmbeddingSystem:
-    if f.m != f.n:
-        raise DimensionError(f"embedding needs a square field, got m={f.m}, n={f.n}")
-    return EmbeddingSystem(f, spec)
 
 
 @dataclass(eq=False)
@@ -104,14 +101,13 @@ def _whole_steps(t_end: float, step: float) -> int:
 
 def integrate_embedding(system: EmbeddingSystem, x_lo: Sequence[float],
                         x_hi: Sequence[float], t_end: float,
-                        step: float = DEFAULT_STEP,
-                        magnitude_cap: float = DEFAULT_CAP) -> ReachTube:
+                        step: float = DEFAULT_STEP) -> ReachTube:
     """Integrate the stacked system from (x_lo, x_hi) with classical RK4.
 
     The tube has floor(t_end/step) + 1 rows when step divides t_end; a
     remainder appends one extra row at t_end.  t_end = 0 yields the single
     initial row.  Raises BlowupError when any state magnitude passes
-    magnitude_cap, or a stage evaluation fails, at the time of the step.
+    MAGNITUDE_CAP, or a stage evaluation fails, at the time of the step.
     """
     n = system.n
     lo, hi = [float(v) for v in x_lo], [float(v) for v in x_hi]
@@ -123,8 +119,7 @@ def integrate_embedding(system: EmbeddingSystem, x_lo: Sequence[float],
         raise ValueError("step must be positive and finite")
     if not 0.0 <= t_end < math.inf:
         raise ValueError("t_end must be finite and nonnegative")
-    # an infinite or NaN cap still stops on an infinite state
-    cap = magnitude_cap if magnitude_cap < math.inf else sys.float_info.max
+    cap = MAGNITUDE_CAP
     state = lo + hi
     if not all(abs(v) <= cap for v in state):  # NaN fails the comparison too
         raise BlowupError(0.0)

@@ -779,28 +779,23 @@ def differentiate(e: Expr, j: int) -> Expr:
 
 # -- interval evaluation -----------------------------------------------------------
 
-def eval_interval(e: Expr, box: BoxDomain, slack: float = 0.0) -> Interval:
+def eval_interval(e: Expr, box: BoxDomain) -> Interval:
     """Natural interval extension of e over the box.
 
-    The one-tree case of lower_intervals, widened outward by slack; the
-    default of zero keeps exact ranges exact, the sign of a zero endpoint
-    included.  Builds the node list of e on every call; code that encloses
-    one tree over many boxes keeps the evaluator of lower_intervals instead.
+    The one-tree case of lower_intervals, so exact ranges stay exact, the
+    sign of a zero endpoint included.  Builds the node list of e on every
+    call; code that encloses one tree over many boxes keeps the evaluator
+    of lower_intervals instead.
     Raises the first failure that evaluation, operands left to right, meets:
     DimensionError for a variable the box lacks, or the ValueError of
     Interval where an image is no interval.
     No command calls it: perfbench/layers.py traces expr.eval_interval by
     name, and its --trace run fails with AttributeError without it.
     """
-    if not slack >= 0.0:
-        raise ValueError("slack must be nonnegative")
     (r,) = lower_intervals((e,))(box.lower_corner(), box.upper_corner())
     if isinstance(r, ValueError):
         raise r
-    lo, hi = r
-    if slack:
-        lo, hi = lo - slack, hi + slack
-    return Interval(lo, hi)
+    return Interval(*r)
 
 
 def lower_intervals(trees: Sequence[Expr]) -> Callable[[Sequence[float], Sequence[float]], list]:

@@ -78,7 +78,6 @@ class ScalarFunction:
     domain: Optional[Interval] = None
     _fields: list = field(default_factory=list, init=False, repr=False, compare=False)
     _f: Callable[[list[float]], float] = field(init=False, repr=False, compare=False)
-    _df_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _partition_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _unbounded_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -109,13 +108,8 @@ class ScalarFunction:
         return self._fields[order]
 
     def derivative(self, t: float) -> float:
-        """f'(t), memoized: a cell's ends are read again by its split and by
-        the certificates of its halves."""
-        t = float(t)
-        d = self._df_memo.get(t)
-        if d is None:
-            d = self._df_memo[t] = self._field(1).compiled[0]([t])
-        return d
+        """f'(t)."""
+        return self._field(1).compiled[0]([float(t)])
 
     def enclosure(self, order: int, lo: float, hi: float) -> tuple[float, float]:
         """An enclosure of f' (order 1) or f'' (order 2) over [lo, hi]: the
@@ -126,6 +120,13 @@ class ScalarFunction:
 def _check_tol(tol: float):
     if not 0.0 < tol < math.inf:  # NaN fails too
         raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
+def _finite(v: float, what: str, *at: float) -> float:
+    """v where it is finite, else UnboundedDerivativeError naming what.format(*at)."""
+    if math.isfinite(v):
+        return v
+    raise UnboundedDerivativeError(1, None, what.format(*at) + " overflows the largest float")
 
 
 def _check_sub(f: ScalarFunction, sub: Interval):
@@ -206,7 +207,8 @@ class JordanSplit:
     nodes are its sorted nodes (the start grid, the splits and the pins),
     vals f at each node, and cum[k] the sum of |Δf| over the first k cells,
     so cum[-1] is within tol below the variation.  f⁺ is nondecreasing with
-    f⁺(a) = 0 and f⁺(b) = cum[-1]; f⁻ = f - f⁺ is nonincreasing.
+    f⁺(a) = 0 and f⁺(b) = cum[-1]; f⁻ = f - f⁺ is nonincreasing.  Each read
+    raises UnboundedDerivativeError where its value passes the largest float.
     """
 
     f: ScalarFunction
@@ -223,16 +225,16 @@ class JordanSplit:
         if not nodes[0] <= x <= nodes[-1]:
             raise ValueError(f"{x} outside the domain [{nodes[0]}, {nodes[-1]}]")
         k = bisect_right(nodes, x) - 1
-        return self.cum[k] + abs(self.f(x) - self.vals[k])
+        return _finite(self.cum[k] + abs(self.f(x) - self.vals[k]), "f+({:.9g})", x)
 
     def fminus(self, x: float) -> float:
-        return self.f(x) - self.fplus(x)
+        return _finite(self.f(x) - self.fplus(x), "f-({:.9g})", x)
 
     def g(self, x: float, y: float) -> float:
         """The decomposition g(x, y) = f⁺(x) + f⁻(y).  It agrees with f on the
         diagonal, is nondecreasing in x and nonincreasing in y, and brackets f
         over [a, b] via g(a, b) <= f <= g(b, a)."""
-        return self.fplus(x) + self.fminus(y)
+        return _finite(self.fplus(x) + self.fminus(y), "g({:.9g}, {:.9g})", x, y)
 
 
 def _partition(f: ScalarFunction, a: float, b: float, tol: float, max_cells: int) -> JordanSplit:
@@ -305,8 +307,8 @@ def total_variation(f: ScalarFunction, sub: Interval, tol: float = 1e-8,
     jordan_split reads too.  Raises NonConvergenceError where the bounds on
     what its cells miss sum to more than tol at the cell cap max_cells,
     UnboundedDerivativeError where f' is unbounded on a cell too narrow to
-    split (a pole, or a 0/0 like x1/x1), and ValueError unless 0 < tol < inf
-    and max_cells is at least MIN_CELLS.
+    split (a pole, or a 0/0 like x1/x1) or the sum passes the largest float,
+    and ValueError unless 0 < tol < inf and max_cells is at least MIN_CELLS.
     """
     _check_tol(tol)
     if max_cells < MIN_CELLS:
@@ -314,7 +316,8 @@ def total_variation(f: ScalarFunction, sub: Interval, tol: float = 1e-8,
     _check_sub(f, sub)
     if sub.width == 0.0:
         return 0.0
-    return _partition(f, sub.lo, sub.hi, tol, max_cells).cum[-1]
+    return _finite(_partition(f, sub.lo, sub.hi, tol, max_cells).cum[-1],
+                   "total variation over [{:.9g}, {:.9g}]", sub.lo, sub.hi)
 
 
 def jordan_split(f: ScalarFunction, tol: float = 1e-8,
@@ -357,7 +360,8 @@ def unbounded_split(f: ScalarFunction, tol: float = 1e-8) -> UnboundedSplit:
     both.  An argument outside the window grows that side to at least twice
     its reach, capped at the largest float, and the window is partitioned
     again; so a sweep over arguments builds a few partitions, not one per
-    argument.  Raises ValueError unless 0 < tol < inf.
+    argument.  Raises ValueError unless 0 < tol < inf; g1 and g2 raise
+    UnboundedDerivativeError where their value passes the largest float.
     """
     if f.domain is not None:
         raise ValueError("function must be declared on the whole line (domain=None)")
@@ -385,12 +389,12 @@ def unbounded_split(f: ScalarFunction, tol: float = 1e-8) -> UnboundedSplit:
     def g1(x: float) -> float:
         x = float(x)
         v = from_0(x)
-        return v if x >= 0.0 else (f(x) - f0) + v
+        return _finite(v if x >= 0.0 else (f(x) - f0) + v, "g1({:.9g})", x)
 
     def g2(y: float) -> float:
         y = float(y)
         v = from_0(y)
-        return (f(y) - f0) - v if y >= 0.0 else -v
+        return _finite((f(y) - f0) - v if y >= 0.0 else -v, "g2({:.9g})", y)
 
     out = UnboundedSplit(g1, g2, f0, tol)
     f._unbounded_cache[tol] = out
@@ -398,6 +402,7 @@ def unbounded_split(f: ScalarFunction, tol: float = 1e-8) -> UnboundedSplit:
 
 
 def unbounded_decomposition(f: ScalarFunction, x: float, y: float, tol: float = 1e-8) -> float:
-    """g(x, y) = g1(x) + g2(y) + f(0); agrees with f on the diagonal."""
+    """g(x, y) = g1(x) + g2(y) + f(0); agrees with f on the diagonal.
+    Raises UnboundedDerivativeError where a term or the sum is not finite."""
     s = unbounded_split(f, tol)
-    return s.g1(x) + s.g2(y) + s.f_base
+    return _finite(s.g1(x) + s.g2(y) + s.f_base, "g({:.9g}, {:.9g})", x, y)

@@ -11,8 +11,8 @@ import sys
 import numpy as np
 import pytest
 
-from mixedmono import (BoxDomain, Interval, ScalarFunction, VectorField,
-                       bound_box, build_decomposition, build_embedding,
+from mixedmono import (BoxDomain, EmbeddingSystem, Interval, ScalarFunction, VectorField,
+                       bound_box, build_decomposition,
                        eval_decomposition,
                        integrate_embedding, jacobian_bounds, jordan_split,
                        refine_bounds, total_variation, unbounded_split)
@@ -172,7 +172,7 @@ def test_6_reach_tube_linear_decay(capfd):
     failures = []
     field = VectorField.from_strings(["-x1"], 1)
     spec = _decompose(field, BoxDomain.from_bounds([(0.0, 1.0)]))
-    system = build_embedding(field, spec)
+    system = EmbeddingSystem(field, spec)
 
     tube = integrate_embedding(system, [0.0], [1.0], t_end=1.0, step=1e-3)
     _, lo, hi = tube.final()

@@ -10,7 +10,7 @@ import pytest
 
 from mixedmono import ConfigError, EmbeddingSystem, Interval, ScalarFunction, cli
 from mixedmono.cli import main, parse_config_text
-from mixedmono.expr import MAX_NESTING
+from mixedmono.expr import MAX_NESTING, parse
 
 SQUARE = """\
 [system]
@@ -84,8 +84,8 @@ def test_config_parses_sections_and_options():
     text = SQUARE.replace("slack = 0", "slack = 0\nepsilon = 0.5\ndepth = 2\n"
                           "step = 0.01\nt_end = 2\ntol = 1e-06\nformat = csv")
     cfg = parse_config_text(text)
-    assert cfg.dim == 1
-    assert cfg.expressions == ("x1^2",)
+    assert cfg.field.n == 1
+    assert cfg.field.components == (parse("x1^2", 1),)
     assert cfg.domain[0].lo == -1.0 and cfg.domain[0].hi == 1.0
     o = cfg.options
     assert (o.slack, o.epsilon, o.depth, o.step, o.t_end, o.tol, o.fmt) == \
@@ -404,6 +404,20 @@ def test_reach_rejects_bad_corners(capsys, cfg_file):
         assert rc == 1 and out == "" and err == "error: initial box must lie inside [domain]\n"
 
 
+def test_tv_reads_a_negative_endpoint_in_exponent_form(capsys):
+    # argparse took -1e-5 for an unknown flag: "argument --a: expected one argument"
+    rc, out, err = _run(capsys, ["tv", "--expr", "x1", "--a", "-1e-5", "--b", "1"])
+    assert (rc, err) == (0, "") and out.splitlines()[0] == "TV = 1.00001"
+
+
+def test_reach_reads_a_corner_list_that_starts_negative(capsys, cfg_file):
+    # as it took -0.5,0: only --x0-lo=-0.5,0 parsed
+    path = cfg_file(COUPLED.replace("[0, 1]", "[-1, 1]"))
+    got = _run(capsys, ["reach", path, "--x0-lo", "-0.5,0", "--x0-hi", "0,0", "--t-end", "0.01"])
+    assert got == _run(capsys, ["reach", path, "--x0-lo=-0.5,0", "--x0-hi=0,0", "--t-end=0.01"])
+    assert got[0] == 0 and got[1].splitlines()[1] == "0,-0.5,0,0,0"
+
+
 @pytest.mark.parametrize("flag, value", [("--step", "nan"), ("--step", "inf"),
                                          ("--t-end", "inf"), ("--t-end", "nan")])
 def test_reach_rejects_non_finite_flags(capsys, cfg_file, flag, value):
@@ -428,7 +442,7 @@ def test_reach_rejects_too_many_steps(capsys, cfg_file, t_end, step):
     ('[system]\ndim = 2\nf1 = "x1 + x2"\n\n[domain]\nx1 = [0, 1]\nx2 = [0, 1]\n', 2, 1),
     ('[system]\ndim = 1\nf1 = "x1"\nf2 = "-x1"\n\n[domain]\nx1 = [0, 1]\n', 1, 2)])
 def test_reach_rejects_a_non_square_config(capsys, cfg_file, text, n, m):
-    # this ended in a DimensionError traceback from build_embedding
+    # this ended in a DimensionError traceback when the embedding was built
     rc, out, err = _run(capsys, ["reach", cfg_file(text), "--t-end", "0.1"])
     assert rc == 1 and out == ""
     assert err == f"error: reach needs a square config: dim = {n} components, got {m}\n"
@@ -947,6 +961,15 @@ def test_commands_on_a_box_wider_than_the_largest_float(capsys, cfg_file):
         "TV = 2e+298", "bounds: f ∈ [-1e+298, 1e+298]  (g(lo,hi) = -1e+298, g(hi,lo) = 1e+298)"]
 
 
+@pytest.mark.parametrize("expr, a, b, err", [
+    ("x1", "-1e308", "1e308",
+     "error: total variation over [-1e+308, 1e+308] overflows the largest float\n"),
+    ("0-x1", "0", "1.5e308", "error: f-(1.5e+308) overflows the largest float\n")])
+def test_tv_refuses_a_split_past_the_largest_float(capsys, expr, a, b, err):
+    # these printed TV = inf, and f- = -inf with bounds [-inf, 1.5e+308], at exit 0
+    assert _run(capsys, ["tv", "--expr", expr, f"--a={a}", "--b", b]) == (2, "", err)
+
+
 def test_tv_split_is_consistent_with_printed_variation(capsys):
     # the split must be read from the same partition as the printed TV
     rc, out, _ = _run(capsys, ["tv", "--expr", "max(0, 1 - 1000*abs(x1 - 0.3001))",
@@ -1051,9 +1074,12 @@ def test_perfbench_tracer_finds_and_restores_its_names(capsys, cfg_file, monkeyp
     try:
         tracer.install()
         assert _run(capsys, ["bound", cfg_file(COUPLED), "--depth", "1"])[0] == 0
-        assert _run(capsys, ["tv", "--expr", "x1*sin(x1)", "--a", "-2", "--b", "3"])[0] == 0
         assert tracer.calls["decomp.refine_bounds"] > 0
+        assert _run(capsys, ["reach", cfg_file(COUPLED), "--t-end", "0.01"])[0] == 0
+        assert tracer.calls["embed.rhs"] > 0
+        assert _run(capsys, ["tv", "--expr", "x1*sin(x1)", "--a", "-2", "--b", "3"])[0] == 0
         assert tracer.calls["jordan.total_variation"] > 0
+        assert tracer.calls["jordan.derivative"] > 0
     finally:
         tracer.uninstall()
     after = program_attributes()

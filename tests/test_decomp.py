@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from mixedmono import (BoxDomain, DecompositionSpec, DimensionError, Interval,
+from mixedmono import (BoxDomain, DecompositionSpec, DimensionError, EmbeddingSystem, Interval,
                        UnboundedDerivativeError, VectorField, bound_box, build_decomposition,
-                       build_embedding, eval_decomposition, format_decomposition,
+                       eval_decomposition, format_decomposition,
                        integrate_embedding, jacobian_bounds, refine_bounds)
 from mixedmono.decomp import decomposition_kernel
 from conftest import box_samples, grid_points, ordered_pairs
@@ -285,7 +285,7 @@ def test_one_compile_of_g_per_field(monkeypatch):
     decomposition_kernel(spec, f)
     decomposition_kernel(other, f)
     refine_bounds(f, box, 4)
-    tube = integrate_embedding(build_embedding(f, spec), [-0.1, -0.1], [0.1, 0.1], 0.5,
+    tube = integrate_embedding(EmbeddingSystem(f, spec), [-0.1, -0.1], [0.1, 0.1], 0.5,
                                step=0.005)
     assert len(tube.times) == 101
     assert len(sources) == 1 and sources[0].startswith("def make(rows):")

@@ -7,8 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from mixedmono import (BlowupError, BoxDomain, DimensionError, EmbeddingSystem, VectorField,
-                       build_decomposition, build_embedding, integrate_embedding,
-                       jacobian_bounds)
+                       build_decomposition, integrate_embedding, jacobian_bounds)
 
 
 def _embedding(exprs, bounds, epsilon=0.0):
@@ -16,7 +15,7 @@ def _embedding(exprs, bounds, epsilon=0.0):
     f = VectorField.from_strings(exprs, n)
     box = BoxDomain.from_bounds(bounds)
     spec = build_decomposition(jacobian_bounds(f, box), epsilon)
-    return f, box, build_embedding(f, spec)
+    return f, box, EmbeddingSystem(f, spec)
 
 
 def sample_flow(f, x0, t_end, step):
@@ -39,8 +38,9 @@ def test_build_rejects_non_square_field():
     f = VectorField.from_strings(["x1 + x2"], 2)
     box = BoxDomain.from_bounds([(0, 1), (0, 1)])
     spec = build_decomposition(jacobian_bounds(f, box))
-    with pytest.raises(DimensionError):
-        build_embedding(f, spec)
+    # refused when built, not at the second stage of the first RK4 step
+    with pytest.raises(DimensionError, match=r"^embedding needs a square field, got m=1, n=2$"):
+        EmbeddingSystem(f, spec)
 
 
 def test_build_rejects_mismatched_spec():
@@ -48,7 +48,7 @@ def test_build_rejects_mismatched_spec():
     f1 = VectorField.from_strings(["-x1"], 1)
     spec1 = build_decomposition(jacobian_bounds(f1, BoxDomain.from_bounds([(0, 1)])))
     with pytest.raises(DimensionError):
-        build_embedding(f2, spec1)
+        EmbeddingSystem(f2, spec1)
 
 
 def test_stacked_field_for_negation():
@@ -73,7 +73,7 @@ def test_stacked_field_collapses_on_diagonal(corpus, rng):
         if entry.field.m != entry.field.n:
             continue
         spec = build_decomposition(jacobian_bounds(entry.field, entry.box))
-        sys = build_embedding(entry.field, spec)
+        sys = EmbeddingSystem(entry.field, spec)
         for _ in range(10):
             x = rng.uniform(entry.box.lower_corner(), entry.box.upper_corner())
             fx = entry.field.evaluate(x)
@@ -170,7 +170,7 @@ def test_tube_rows_stay_ordered(corpus):
         if entry.field.m != entry.field.n:
             continue
         spec = build_decomposition(jacobian_bounds(entry.field, entry.box))
-        sys = build_embedding(entry.field, spec)
+        sys = EmbeddingSystem(entry.field, spec)
         tube = integrate_embedding(sys, entry.box.lower_corner(),
                                    entry.box.upper_corner(), 0.25, step=1e-2)
         assert np.all(np.asarray(tube.lower) <= np.asarray(tube.upper) + 1e-9)
@@ -244,15 +244,11 @@ def test_blowup_is_reported_with_time():
     assert "cap exceeded" in str(err.value)
 
 
-def test_blowup_cap_is_configurable():
-    _, _, sys = _embedding(["x1^2"], [(2.0, 2.0)])
-    with pytest.raises(BlowupError) as small:
-        integrate_embedding(sys, [2.0], [2.0], 1.0, step=1e-3, magnitude_cap=1e2)
-    with pytest.raises(BlowupError) as large:
-        integrate_embedding(sys, [2.0], [2.0], 1.0, step=1e-3, magnitude_cap=1e10)
-    assert small.value.time < large.value.time
+def test_blowup_at_the_start_is_reported_at_time_zero():
+    # an initial state past MAGNITUDE_CAP = 1e12 stops before the first step
+    _, _, sys = _embedding(["x1^2"], [(2.0, 2e12)])
     with pytest.raises(BlowupError) as at_start:
-        integrate_embedding(sys, [2.0], [2.0], 1.0, step=1e-3, magnitude_cap=1.0)
+        integrate_embedding(sys, [2e12], [2e12], 1.0, step=1e-3)
     assert at_start.value.time == 0.0
 
 

@@ -302,15 +302,12 @@ def test_eval_interval_division_modes():
     assert eval_interval(parse("1/x1", 1), BoxDomain.from_bounds([(1, 2)])) == Interval(0.5, 1.0)
 
 
-def test_eval_interval_slack():
-    box = BoxDomain.from_bounds([(-1, 1)])
-    iv = eval_interval(parse("x1^2", 1), box, slack=1e-6)
-    assert iv == Interval(-1e-6, 1 + 1e-6)
-    with pytest.raises(ValueError):
-        eval_interval(parse("x1", 1), box, slack=-1.0)
-    # a NaN slack is refused as a negative one is, not passed on to the endpoints
-    with pytest.raises(ValueError, match="slack must be nonnegative"):
-        eval_interval(parse("x1", 1), box, slack=math.nan)
+def test_eval_interval_keeps_exact_ranges_exact():
+    # no widening: an even power's range is tight, and a zero endpoint keeps its sign
+    iv = eval_interval(parse("x1^2", 1), BoxDomain.from_bounds([(-1, 1)]))
+    assert (repr(iv.lo), repr(iv.hi)) == ("0.0", "1.0")
+    iv = eval_interval(parse("x1", 1), BoxDomain.from_bounds([(-0.0, 1)]))
+    assert (repr(iv.lo), repr(iv.hi)) == ("-0.0", "1.0")
 
 
 def test_eval_interval_dimension_check():

@@ -10,8 +10,8 @@ import pytest
 
 import mixedmono
 from mixedmono import (DimensionError, Interval, NonConvergenceError, ScalarFunction,
-                       jordan_split, total_variation, unbounded_decomposition,
-                       unbounded_split)
+                       UnboundedDerivativeError, jordan_split, total_variation,
+                       unbounded_decomposition, unbounded_split)
 from mixedmono.jordan import MIN_CELLS, linspace
 
 TWO_PI = 2.0 * math.pi
@@ -511,6 +511,30 @@ def test_whole_line_window_stops_growing_at_the_largest_float():
     assert unbounded_decomposition(f, 1.5e308, 1.5e308) == 1.5e308
     fresh = ScalarFunction.on_reals("x1")
     assert unbounded_decomposition(fresh, 1.5e308, 1.5e308) == 1.5e308
+
+
+def test_whole_line_split_refuses_a_value_past_the_largest_float():
+    # f(-1.5e308) is finite, but g1 = (f(x) - f(0)) - TV over [x, 0] = -3e308
+    # overflowed, and -inf was returned where the diagonal holds f
+    f = ScalarFunction.on_reals("x1")
+    with pytest.raises(UnboundedDerivativeError, match=r"^g1\(-1.5e\+308\) overflows"):
+        unbounded_decomposition(f, -1.5e308, -1.5e308)
+    assert unbounded_decomposition(f, -1e307, -1e307) == pytest.approx(-1e307, rel=1e-12)
+
+
+def test_jordan_split_refuses_a_value_past_the_largest_float():
+    # the variation 2e308 of x1 over [-1e308, 1e308] was returned as inf; over
+    # [0, 1.5e308] the variation of -x1 is finite, but f- = f - f+ is not
+    with pytest.raises(UnboundedDerivativeError, match="total variation over"):
+        total_variation(_on("x1", -1e308, 1e308), Interval(-1e308, 1e308))
+    split = jordan_split(_on("0 - x1", 0.0, 1.5e308))
+    assert split.fplus(1.5e308) == 1.5e308
+    with pytest.raises(UnboundedDerivativeError, match=r"^f-\(1.5e\+308\) overflows"):
+        split.fminus(1.5e308)
+    # over [-1.5e308, 0], f+(0) and f-(-1.5e308) are 1.5e308 each, and g their sum
+    split = jordan_split(_on("0 - x1", -1.5e308, 0.0))
+    with pytest.raises(UnboundedDerivativeError, match=r"^g\(0, -1.5e\+308\) overflows"):
+        split.g(0.0, -1.5e308)
 
 
 def test_whole_line_input_validation():

@@ -3,16 +3,18 @@ evaluators, the decomposition kernel, the RK4 of the embedding, the bisection
 of refine_bounds, and the total variation and Jordan split of scalar functions."""
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from mixedmono import (Binary, BlowupError, BoxDomain, Const, DecompositionSpec, DimensionError,
-                       EvalError, Interval, InvalidBoundsError, NonConvergenceError, Power,
-                       ReachTube, ScalarFunction, UnboundedDerivativeError, Unary, Var,
-                       VectorField, bound_box, build_decomposition, build_embedding,
-                       eval_decomposition, eval_interval, evaluate, integrate_embedding,
-                       jacobian_bounds, jordan_split, refine_bounds, total_variation)
+                       EmbeddingSystem, EvalError, Interval, InvalidBoundsError,
+                       NonConvergenceError, Power, ReachTube, ScalarFunction,
+                       UnboundedDerivativeError, Unary, Var, VectorField, bound_box,
+                       build_decomposition, embed, eval_decomposition, eval_interval, evaluate,
+                       integrate_embedding, jacobian_bounds, jordan_split, refine_bounds,
+                       total_variation)
 from mixedmono.expr import compile_expr
 from mixedmono.interval import (iv_abs, iv_add, iv_cos, iv_div, iv_exp, iv_max, iv_min, iv_mul,
                                 iv_neg, iv_power, iv_sign, iv_sin, iv_step, iv_sub)
@@ -186,7 +188,7 @@ def test_embedding_rhs_is_both_decompositions_bit_for_bit(case):
     # both halves of rhs against the fold of the definition; _outcome compares
     # repr, so the sign of a zero counts
     f, spec, x, y = case
-    system = build_embedding(f, spec)
+    system = EmbeddingSystem(f, spec)
 
     def stacked():
         return _g_reference(spec, f, x, y) + _g_reference(spec, f, y, x)
@@ -260,12 +262,13 @@ def _tube_outcome(fn, *args):
        st.sampled_from([1e12, 1e3, 10.0]))
 def test_rk4_on_float_lists_matches_array_form(case, step, steps, cap):
     f, spec, x, y = case
-    system = build_embedding(f, spec)
+    system = EmbeddingSystem(f, spec)
     lo = [min(a, b) for a, b in zip(x, y)]
     hi = [max(a, b) for a, b in zip(x, y)]
     t_end = steps * step
-    assert (_tube_outcome(integrate_embedding, system, lo, hi, t_end, step, cap)
-            == _tube_outcome(_rk4_reference, system, lo, hi, t_end, step, cap))
+    with patch.object(embed, "MAGNITUDE_CAP", cap):
+        got = _tube_outcome(integrate_embedding, system, lo, hi, t_end, step)
+    assert got == _tube_outcome(_rk4_reference, system, lo, hi, t_end, step, cap)
 
 
 @PROPERTY
