@@ -55,7 +55,7 @@ from .embed import EmbeddingSystem, integrate_embedding
 from .errors import (BlowupError, ConfigError, EvalError, NonConvergenceError, ParseError,
                      ToolkitError, UnboundedDerivativeError)
 from .interval import BoxDomain, Interval
-from .jacbounds import SignCase, VectorField, jacobian_bounds
+from .jacbounds import VectorField, jacobian_bounds
 from .jordan import (DEFAULT_MAX_CELLS, MIN_CELLS, ScalarFunction, jordan_split, linspace,
                      total_variation)
 
@@ -224,8 +224,8 @@ def parse_config(path: str) -> RunConfig:
 
 
 # the sign class of an entry from its row: (reads x, has an offset) -> case
-_CASES = {(True, False): SignCase.CASE1, (True, True): SignCase.CASE2,
-          (False, True): SignCase.CASE3, (False, False): SignCase.CASE4}
+_CASES = {(True, False): "case1", (True, True): "case2",
+          (False, True): "case3", (False, False): "case4"}
 
 
 def cmd_decompose(args) -> int:
@@ -239,9 +239,9 @@ def cmd_decompose(args) -> int:
     for i, (first, terms) in enumerate(spec.rows):
         g_expr = g_lines[i].split(" = ", 1)[1]
         offsets = dict(terms)
-        for j, (iv, use_x) in enumerate(zip(jb[i], first)):
-            a, b, c = _fmt(iv.lo), _fmt(iv.hi), offsets.get(j)
-            case = _CASES[use_x, c is not None].value
+        for j, ((a, b), use_x) in enumerate(zip(jb[i], first)):
+            a, b, c = _fmt(a), _fmt(b), offsets.get(j)
+            case = _CASES[use_x, c is not None]
             z = "x" if use_x else "y"
             alpha = _fmt(c) if use_x and c is not None else "0"
             beta = _fmt(-c) if not use_x and c is not None else "0"

@@ -1,23 +1,26 @@
-"""Decomposition functions built from Jacobian sign classification.
+"""Decomposition functions built from the signs of Jacobian enclosures.
 
 The construction realizes, per output i,
 
     g_i(x, y) = f_i(z) + (alpha_i - beta_i) . (x - y)
 
-where z_j is x_j for CASE1/CASE2 entries and y_j for CASE3/CASE4 entries,
-alpha_ij = |a_ij| + eps on CASE2 entries (else 0), and
-beta_ij = -(|b_ij| + eps) on CASE3 entries (else 0).  On the diagonal
-g(x, x) = f(x) exactly, g is nondecreasing in x and nonincreasing in y, and
-evaluating at opposite box corners brackets the range of f over the box.
+from an enclosure (a_ij, b_ij) of each df_i/dx_j over a box.  The entry is
+CASE1 where a_ij >= 0 and CASE4 where b_ij <= 0; a sign-unstable entry is
+CASE2 where |a_ij| <= |b_ij| and CASE3 otherwise.  z_j is x_j on CASE1/CASE2
+entries and y_j on CASE3/CASE4 entries, alpha_ij = |a_ij| + eps on CASE2
+entries (else 0), and beta_ij = -(|b_ij| + eps) on CASE3 entries (else 0).
+On the diagonal g(x, x) = f(x) exactly, g is nondecreasing in x and
+nonincreasing in y, and evaluating at opposite box corners brackets the range
+of f over the box.
 
-g has one form, its rows: _classified_row builds row i, (first, terms), from
-a box's enclosures, and a DecompositionSpec holds the rows of one box.  One
-kernel evaluates g.  VectorField.g_factory compiles f_1 .. f_m once per field
-into straight-line code (expr.lower_decomposition) that returns g(x, y) and
-g(y, x) together; decomposition_kernel binds it to the rows of a spec and
-_bracket to the rows of each box, and neither compiles anything.
-eval_decomposition, bound_box, refine_bounds and the embedding system all run
-it.
+g has one form, its rows: _classified_row, the one place that applies the
+rule above, builds row i, (first, terms), from a box's enclosures, and a
+DecompositionSpec holds the rows of one box.  One kernel evaluates g.
+VectorField.g_factory compiles f_1 .. f_m once per field into straight-line
+code (expr.lower_decomposition) that returns g(x, y) and g(y, x) together;
+decomposition_kernel binds it to the rows of a spec and _bracket to the rows
+of each box, and neither compiles anything.  eval_decomposition, bound_box,
+refine_bounds and the embedding system all run it.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Callable
 from .errors import DimensionError, UnboundedDerivativeError
 from .expr import to_string
 from .interval import BoxDomain, Interval, iv_checked, iv_hull, iv_intersect, iv_mid
-from .jacbounds import _CASE1, _CASE2, _CASE3, VectorField, classify
+from .jacbounds import VectorField
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,43 +73,50 @@ class DecompositionSpec:
 
 def _classified_row(i: int, row, epsilon: float) -> tuple[tuple[bool, ...], tuple]:
     """Selectors and offset terms of row i (0-based) of g, from the enclosures
-    (a, b) of df_i/dx_1 .. df_i/dx_n.
+    (a, b) of df_i/dx_1 .. df_i/dx_n: the one place the sign rule is applied.
 
-    first[j] is True where f_i reads x_j (CASE1, CASE2).  terms lists
-    (j, alpha_ij - beta_ij) for each sign-unstable entry, in increasing j:
-    alpha_ij = |a| + eps on CASE2 and beta_ij = -(|b| + eps) on CASE3.
+    An entry with a >= 0 reads x_j (CASE1, b may be infinite) and one with
+    b <= 0 reads y_j (CASE4); a point enclosure a = b is one of the two.  A
+    sign-unstable entry reads x_j with the offset alpha_ij = |a| + eps where
+    |a| <= |b| (CASE2, the tie among them), and y_j with -beta_ij = |b| + eps
+    otherwise (CASE3).  terms lists (j, alpha_ij - beta_ij) in increasing j.
     Raises UnboundedDerivativeError on a (-inf, inf) entry or an offset that
-    overflows, and propagates InvalidBoundsError from classify.
+    overflows.
     """
     first, terms = [], []
     for j, (a, b) in enumerate(row):
-        if a == -math.inf and b == math.inf:
+        if a >= 0.0:
+            first.append(True)
+        elif b <= 0.0:
+            first.append(False)
+        elif a == -math.inf and b == math.inf:
             raise UnboundedDerivativeError(i + 1, j + 1)
-        case = classify(a, b)
-        if case is _CASE2 or case is _CASE3:
-            c = abs(a if case is _CASE2 else b) + epsilon
+        else:
+            reads_x = -a <= b
+            c = (-a if reads_x else b) + epsilon
             if c == math.inf:  # the endpoint is finite: only a large epsilon overflows it
-                end = "a" if case is _CASE2 else "b"
                 raise UnboundedDerivativeError(
-                    i + 1, j + 1,
-                    f"offset for f{i + 1}/x{j + 1} overflows: |{end}| + epsilon is not finite")
+                    i + 1, j + 1, f"offset for f{i + 1}/x{j + 1} overflows: "
+                    f"|{'a' if reads_x else 'b'}| + epsilon is not finite")
             terms.append((j, c))
-        first.append(case is _CASE1 or case is _CASE2)
+            first.append(reads_x)
     return tuple(first), tuple(terms)
 
 
-def build_decomposition(jb: list[list[Interval]], epsilon: float = 0.0) -> DecompositionSpec:
-    """The rows of g from jb, the enclosures of jacobian_bounds: one pass of
-    _classified_row per row of jb.
+def build_decomposition(jb: list[list[tuple[float, float]]],
+                        epsilon: float = 0.0) -> DecompositionSpec:
+    """The rows of g from jb, the enclosures (a, b) of jacobian_bounds: one
+    pass of _classified_row per row of jb.
 
     Raises UnboundedDerivativeError naming the first (-inf, inf) entry or
-    overflowing offset, and propagates InvalidBoundsError from enclosures
-    that are no interval.
+    overflowing offset, and the ValueError of iv_checked for an entry that
+    is no interval.
     """
     if not (math.isfinite(epsilon) and epsilon >= 0.0):
         raise ValueError("epsilon must be finite and nonnegative")
-    return DecompositionSpec(tuple(_classified_row(i, [(iv.lo, iv.hi) for iv in entries], epsilon)
-                                   for i, entries in enumerate(jb)))
+    return DecompositionSpec(tuple(
+        _classified_row(i, [iv_checked(float(a), float(b)) for a, b in row], epsilon)
+        for i, row in enumerate(jb)))
 
 
 def decomposition_kernel(spec: DecompositionSpec,
@@ -168,8 +178,8 @@ def refine_bounds(f: VectorField, box: BoxDomain, depth: int, epsilon: float = 0
     The recursion runs on lists of box endpoints and bracket endpoints, and
     makes Intervals only for the result.  On each box one run of the
     Jacobian's shared-node evaluator (VectorField.jacobian_ranges) gives all
-    m*n enclosures widened by slack, the row classifier of
-    build_decomposition turns them into the rows of g, and one call of the
+    m*n enclosures widened by slack, _classified_row (the row builder of
+    build_decomposition) turns them into the rows of g, and one call of the
     kernel behind decomposition_kernel gives the bracket, bit for bit the
     bracket of jacobian_bounds, build_decomposition and bound_box on that
     box.

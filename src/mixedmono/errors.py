@@ -21,10 +21,6 @@ class EvalError(ToolkitError):
     """Evaluation hit an undefined operation or a non-finite intermediate."""
 
 
-class InvalidBoundsError(ToolkitError):
-    """(a, b) is not a valid open derivative enclosure."""
-
-
 class UnboundedDerivativeError(ToolkitError):
     """A partial derivative enclosure is (-inf, inf), or the offset built from
     it overflows, where a bounded one is required.  col is None where a

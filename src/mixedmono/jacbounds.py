@@ -1,17 +1,16 @@
-"""Vector fields, derivative enclosures over boxes, and the four-way sign classification."""
+"""Vector fields and the enclosures of their derivatives over boxes."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .errors import DimensionError, InvalidBoundsError
+from .errors import DimensionError
 from .expr import (Expr, compile_expr, differentiate, lower_decomposition, lower_intervals,
                    parse, variables)
-from .interval import BoxDomain, Interval
+from .interval import BoxDomain
 
 
 @dataclass(frozen=True)
@@ -99,61 +98,18 @@ class VectorField:
         return [fn(p) for fn in self.compiled]
 
 
-class SignCase(Enum):
-    """The four derivative-enclosure classes.
-
-    CASE1: a >= 0, sign-stable nonnegative          -> z takes the first argument
-    CASE2: a < 0 < b (or b infinite), |a| <= |b|    -> first argument plus alpha offset
-    CASE3: a < 0 < b (or a infinite), |a| >  |b|    -> second argument plus beta offset
-    CASE4: b <= 0, sign-stable nonpositive          -> z takes the second argument
-    """
-
-    CASE1 = "case1"
-    CASE2 = "case2"
-    CASE3 = "case3"
-    CASE4 = "case4"
-
-
-# module globals: looking a member up on the Enum class costs more than the
-# rest of classify
-_CASE1, _CASE2, _CASE3, _CASE4 = SignCase.CASE1, SignCase.CASE2, SignCase.CASE3, SignCase.CASE4
-
-
-def classify(a: float, b: float) -> SignCase:
-    """Deterministic case for an open enclosure (a, b) of a partial derivative.
-
-    a >= 0 wins CASE1 even with b infinite; b <= 0 wins CASE4 likewise; the
-    sign-unstable tie |a| = |b| goes to CASE2.  A finite point enclosure
-    a == b, a constant derivative enclosed with no slack, is sign-stable.
-    """
-    if a < b and (a > -math.inf or b < math.inf):  # neither NaN, not (-inf, inf)
-        if a >= 0.0:
-            return _CASE1
-        if b <= 0.0:
-            return _CASE4
-        return _CASE2 if abs(a) <= abs(b) else _CASE3
-    if a == b and math.isfinite(a):
-        return _CASE1 if a >= 0.0 else _CASE4
-    a, b = float(a), float(b)
-    if math.isnan(a) or math.isnan(b):
-        raise InvalidBoundsError("enclosure endpoints must not be NaN")
-    if math.isinf(a) and math.isinf(b):
-        raise InvalidBoundsError("enclosure (-inf, inf) cannot be classified")
-    raise InvalidBoundsError(f"enclosure needs a < b, got ({a}, {b})")
-
-
-def jacobian_bounds(f: VectorField, box: BoxDomain, slack: float = 1e-9) -> list[list[Interval]]:
+def jacobian_bounds(f: VectorField, box: BoxDomain,
+                    slack: float = 1e-9) -> list[list[tuple[float, float]]]:
     """Enclose every df_i/dx_j over the box by natural interval extension.
 
-    Returns the m rows of n open enclosures: entry [i][j] encloses
+    Returns the m rows of n endpoint pairs (a, b): entry [i][j] encloses
     df_{i+1}/dx_{j+1}.  It is the enclosure of the tree f.jacobian[i][j]
     over the box by the cached shared-node evaluator (f.jacobian_ranges),
-    widened outward by slack.  With slack = 0 a constant derivative c has the point
-    enclosure (c, c), which classify takes as sign-stable.
+    widened outward by slack.  With slack = 0 a constant derivative c has the
+    point enclosure (c, c), which decomp._classified_row takes as sign-stable.
     Unbounded entries (infinite endpoints) are recorded, not raised;
     downstream constructions decide whether they are fatal.
     """
     if box.n != f.n:
         raise DimensionError(f"box has {box.n} axes but the field has n={f.n}")
-    ranges = f.jacobian_ranges(box.lower_corner(), box.upper_corner(), slack)
-    return [[Interval(a, b) for a, b in row] for row in ranges]
+    return f.jacobian_ranges(box.lower_corner(), box.upper_corner(), slack)

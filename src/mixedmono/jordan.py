@@ -355,13 +355,14 @@ def unbounded_split(f: ScalarFunction, tol: float = 1e-8) -> UnboundedSplit:
     """Base-point construction for functions declared on the whole line.
 
     Requires bounded variation on every compact interval.  g1 and g2 read
-    the variation between their argument and the base point 0 from one
-    partition of a window [lo, hi] around 0, as the difference of its f⁺ at
-    both.  An argument outside the window grows that side to at least twice
-    its reach, capped at the largest float, and the window is partitioned
-    again; so a sweep over arguments builds a few partitions, not one per
-    argument.  Raises ValueError unless 0 < tol < inf; g1 and g2 raise
-    UnboundedDerivativeError where their value passes the largest float.
+    the variation between their argument and the base point 0 from the
+    partition of one window per side of 0, [-r, 0] or [0, r'], as the
+    difference of its f⁺ at both; so a read on one side never depends on
+    reads on the other.  An argument outside its side's window grows that
+    window to at least twice its reach, capped at the largest float, and
+    partitions it again; so a sweep over arguments builds a few partitions,
+    not one per argument.  Raises ValueError unless 0 < tol < inf; g1 and g2
+    raise UnboundedDerivativeError where their value passes the largest float.
     """
     if f.domain is not None:
         raise ValueError("function must be declared on the whole line (domain=None)")
@@ -370,21 +371,19 @@ def unbounded_split(f: ScalarFunction, tol: float = 1e-8) -> UnboundedSplit:
     if cached is not None:
         return cached
     f0 = f(0.0)
-    lo = hi = 0.0
-    part = _partition(f, lo, hi, tol, DEFAULT_MAX_CELLS)
+    reach = [0.0, 0.0]  # the windows [-reach[0], 0] and [0, reach[1]]
+    parts = [None, None]  # their partitions, made on the first read of each side
 
     def from_0(x: float) -> float:
         """Variation of f over [0, x], or minus that over [x, 0] when x < 0."""
-        nonlocal lo, hi, part
         if not math.isfinite(x):
             raise ValueError("arguments must be finite")
-        if not lo <= x <= hi:
-            if x < lo:
-                lo = min(x, max(2.0 * lo, -sys.float_info.max))
-            else:
-                hi = max(x, min(2.0 * hi, sys.float_info.max))
-            part = _partition(f, lo, hi, tol, DEFAULT_MAX_CELLS)
-        return part.fplus(x) - part.fplus(0.0)
+        side = x >= 0.0  # indexes the lists as 0 or 1
+        if parts[side] is None or abs(x) > reach[side]:
+            r = reach[side] = max(abs(x), min(2.0 * reach[side], sys.float_info.max))
+            lo, hi = (0.0, r) if side else (-r, 0.0)
+            parts[side] = _partition(f, lo, hi, tol, DEFAULT_MAX_CELLS)
+        return parts[side].fplus(x) - parts[side].fplus(0.0)
 
     def g1(x: float) -> float:
         x = float(x)

@@ -176,6 +176,23 @@ def test_decompose_prints_all_four_cases(capsys, cfg_file):
     ]
 
 
+def test_decompose_prints_all_four_cases_in_one_row(capsys, cfg_file):
+    # x1 reads x, x2 reads y, and the sign-unstable x3 and x4 take the offsets
+    # |a| + eps and |b| + eps: the four branches of the row builder in one row
+    path = cfg_file('[system]\ndim = 4\nf1 = "x1 - x2 + x3^2 - x4^2"\n\n[domain]\n'
+                    + "".join(f"x{j} = [-1, 2]\n" for j in range(1, 5)))
+    rc, out, err = _run(capsys, ["decompose", path, "--format", "csv"])
+    assert (rc, err) == (0, "")
+    g = '"x1 - y2 + x3^2 - y4^2 + 2*x3 - 2*y3 + 2*x4 - 2*y4"'
+    assert out.splitlines() == [
+        "i,j,a,b,case,z,alpha,beta,g",
+        f"1,1,0.999999999,1,case1,x,0,0,{g}",
+        f"1,2,-1,-0.999999999,case4,y,0,0,{g}",
+        f"1,3,-2,4,case2,x,2,0,{g}",
+        f"1,4,-4,2,case3,y,0,-2,{g}",
+    ]
+
+
 # -- bound -------------------------------------------------------------------------
 
 def test_bound_square_depths(capsys, cfg_file):

@@ -130,7 +130,7 @@ def test_case_stable_entries_have_zero_offsets(corpus):
         jb = jacobian_bounds(entry.field, entry.box)
         # each sign-stable entry reads x where it is nonnegative, y where not
         assert build_decomposition(jb).rows == tuple(
-            (tuple(iv.lo >= 0.0 for iv in row), ()) for row in jb), entry.name
+            (tuple(a >= 0.0 for a, _ in row), ()) for row in jb), entry.name
 
 
 # -- bounds ------------------------------------------------------------------------

@@ -1,12 +1,11 @@
-"""Derivative enclosures over boxes and the four-way classification."""
+"""Derivative enclosures over boxes, and the sign case each row of g reads from them."""
 
 import math
 
 import pytest
 
-from mixedmono import (BoxDomain, DimensionError, InvalidBoundsError, SignCase,
-                       VectorField, classify, differentiate, evaluate,
-                       jacobian_bounds)
+from mixedmono import (BoxDomain, DimensionError, UnboundedDerivativeError, VectorField,
+                       build_decomposition, differentiate, evaluate, jacobian_bounds)
 from conftest import box_samples
 
 INF = math.inf
@@ -28,17 +27,18 @@ def test_jacobian_bounds_linear_row():
     s = 1e-9
     jb = jacobian_bounds(f, box, slack=s)
     assert len(jb) == 1 and len(jb[0]) == 2
-    assert jb[0][0].lo == pytest.approx(-1 - s, abs=1e-18)
-    assert jb[0][0].hi == pytest.approx(-1 + s, abs=1e-18)
-    assert jb[0][1].lo == pytest.approx(1 - s, abs=1e-18)
-    assert jb[0][1].hi == pytest.approx(1 + s, abs=1e-18)
+    (a0, b0), (a1, b1) = jb[0]
+    assert a0 == pytest.approx(-1 - s, abs=1e-18)
+    assert b0 == pytest.approx(-1 + s, abs=1e-18)
+    assert a1 == pytest.approx(1 - s, abs=1e-18)
+    assert b1 == pytest.approx(1 + s, abs=1e-18)
 
 
 def test_jacobian_bounds_square():
     f = VectorField.from_strings(["x1^2"], 1)
     box = BoxDomain.from_bounds([(-1, 1)])
     jb = jacobian_bounds(f, box, slack=0.0)
-    assert jb[0][0].lo == -2.0 and jb[0][0].hi == 2.0
+    assert jb == [[(-2.0, 2.0)]]
 
 
 def test_box_dimension_mismatch():
@@ -56,65 +56,79 @@ def test_containment_of_sampled_derivatives(corpus, rng):
         for i, comp in enumerate(f.components):
             for j in range(1, f.n + 1):
                 d = differentiate(comp, j)
-                iv = jb[i][j - 1]
+                a, b = jb[i][j - 1]
                 vals = [evaluate(d, p) for p in pts]
-                assert all(iv.lo < v < iv.hi for v in vals), (entry.name, i, j)
+                assert all(a < v < b for v in vals), (entry.name, i, j)
+
+
+def _case(a, b, epsilon=0.0):
+    """The sign case of the one-entry row of g built from the enclosure (a, b),
+    and the offset of that row, or None."""
+    (first,), terms = build_decomposition([[(a, b)]], epsilon).rows[0]
+    if not terms:
+        return ("case1" if first else "case4"), None
+    return ("case2" if first else "case3"), terms[0][1]
 
 
 def test_classify_examples():
-    assert classify(0.5, 3.0) is SignCase.CASE1
-    assert classify(-2.0, 2.0) is SignCase.CASE2
-    assert classify(-INF, -0.1) is SignCase.CASE4
-    assert classify(-3.0, 1.0) is SignCase.CASE3
+    assert _case(0.5, 3.0) == ("case1", None)
+    assert _case(-2.0, 2.0) == ("case2", 2.0)
+    assert _case(-INF, -0.1) == ("case4", None)
+    assert _case(-3.0, 1.0) == ("case3", 1.0)
+    assert _case(-3.0, 1.0, 0.25) == ("case3", 1.25)
 
 
 def test_classify_exhaustive_grid():
-    # hand-computed table over a x b endpoint grid, a < b
+    # hand-computed table over a x b endpoint grid, a < b, with each offset
     expected = {
-        (-INF, -1.0): SignCase.CASE4,
-        (-INF, 0.0): SignCase.CASE4,
-        (-INF, 1.0): SignCase.CASE3,
-        (-INF, 2.0): SignCase.CASE3,
-        (-2.0, -1.0): SignCase.CASE4,
-        (-2.0, 0.0): SignCase.CASE4,
-        (-2.0, 1.0): SignCase.CASE3,
-        (-2.0, 2.0): SignCase.CASE2,   # tie goes to CASE2
-        (-2.0, INF): SignCase.CASE2,
-        (-1.0, 0.0): SignCase.CASE4,
-        (-1.0, 1.0): SignCase.CASE2,
-        (-1.0, 2.0): SignCase.CASE2,
-        (-1.0, INF): SignCase.CASE2,
-        (0.0, 1.0): SignCase.CASE1,
-        (0.0, 2.0): SignCase.CASE1,
-        (0.0, INF): SignCase.CASE1,
-        (1.0, 2.0): SignCase.CASE1,
-        (1.0, INF): SignCase.CASE1,
+        (-INF, -1.0): ("case4", None),
+        (-INF, 0.0): ("case4", None),
+        (-INF, 1.0): ("case3", 1.0),
+        (-INF, 2.0): ("case3", 2.0),
+        (-2.0, -1.0): ("case4", None),
+        (-2.0, 0.0): ("case4", None),
+        (-2.0, 1.0): ("case3", 1.0),
+        (-2.0, 2.0): ("case2", 2.0),   # tie goes to CASE2
+        (-2.0, INF): ("case2", 2.0),
+        (-1.0, 0.0): ("case4", None),
+        (-1.0, 1.0): ("case2", 1.0),
+        (-1.0, 2.0): ("case2", 1.0),
+        (-1.0, INF): ("case2", 1.0),
+        (0.0, 1.0): ("case1", None),
+        (0.0, 2.0): ("case1", None),
+        (0.0, INF): ("case1", None),
+        (1.0, 2.0): ("case1", None),
+        (1.0, INF): ("case1", None),
     }
     for a in (-INF, -2.0, -1.0, 0.0, 1.0):
         for b in (-1.0, 0.0, 1.0, 2.0, INF):
             if not a < b:
                 continue
             if math.isinf(a) and math.isinf(b):
-                with pytest.raises(InvalidBoundsError):
-                    classify(a, b)
+                with pytest.raises(UnboundedDerivativeError):
+                    _case(a, b)
                 continue
-            assert classify(a, b) is expected[(a, b)], (a, b)
+            assert _case(a, b) == expected[(a, b)], (a, b)
 
 
 def test_classify_invalid():
-    with pytest.raises(InvalidBoundsError, match=r"needs a < b, got \(2.0, 1.0\)"):
-        classify(2.0, 1.0)
-    for a, b in ((-INF, INF), (INF, INF), (-INF, -INF)):
-        with pytest.raises(InvalidBoundsError, match="cannot be classified"):
-            classify(a, b)
-    with pytest.raises(InvalidBoundsError, match="NaN"):
-        classify(math.nan, 1.0)
-    with pytest.raises(InvalidBoundsError, match="NaN"):
-        classify(math.nan, math.nan)
+    # (-inf, inf) is an interval, but no row of g reads it; the others are
+    # no interval at all
+    with pytest.raises(UnboundedDerivativeError, match=r"^derivative enclosure for f1/x1 is "):
+        _case(-INF, INF)
+    with pytest.raises(ValueError, match=r"lower endpoint 2.0 exceeds upper endpoint 1.0"):
+        _case(2.0, 1.0)
+    for a, b in ((INF, INF), (-INF, -INF)):
+        with pytest.raises(ValueError, match="both be infinite"):
+            _case(a, b)
+    with pytest.raises(ValueError, match="NaN"):
+        _case(math.nan, 1.0)
+    with pytest.raises(ValueError, match="NaN"):
+        _case(math.nan, math.nan)
 
 
 def test_classify_point_enclosure():
     # a constant derivative enclosed with no slack is the point (c, c)
-    assert classify(2.0, 2.0) is SignCase.CASE1
-    assert classify(0.0, 0.0) is SignCase.CASE1
-    assert classify(-1.0, -1.0) is SignCase.CASE4
+    assert _case(2.0, 2.0) == ("case1", None)
+    assert _case(0.0, 0.0) == ("case1", None)
+    assert _case(-1.0, -1.0) == ("case4", None)

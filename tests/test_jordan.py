@@ -522,6 +522,16 @@ def test_whole_line_split_refuses_a_value_past_the_largest_float():
     assert unbounded_decomposition(f, -1e307, -1e307) == pytest.approx(-1e307, rel=1e-12)
 
 
+def test_whole_line_split_does_not_depend_on_the_order_of_reads():
+    # one window [-1e308, 1e308] for both sides held the variation 2e308, so
+    # after g2(-1e308) the read g2(1e308) overflowed, though it is 0 alone
+    s = unbounded_split(ScalarFunction.on_reals("x1"))
+    assert s.g2(-1e308) == 1e308
+    assert s.g2(1e308) == 0.0
+    assert s.g1(1e308) == 1e308
+    assert unbounded_split(ScalarFunction.on_reals("x1")).g2(1e308) == 0.0
+
+
 def test_jordan_split_refuses_a_value_past_the_largest_float():
     # the variation 2e308 of x1 over [-1e308, 1e308] was returned as inf; over
     # [0, 1.5e308] the variation of -x1 is finite, but f- = f - f+ is not

@@ -6,10 +6,11 @@ import math
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mixedmono import (Binary, BlowupError, BoxDomain, Const, DecompositionSpec, DimensionError,
-                       EmbeddingSystem, EvalError, Interval, InvalidBoundsError,
+                       EmbeddingSystem, EvalError, Interval,
                        NonConvergenceError, Power, ReachTube, ScalarFunction,
                        UnboundedDerivativeError, Unary, Var, VectorField, bound_box,
                        build_decomposition, embed, eval_decomposition, eval_interval, evaluate,
@@ -158,6 +159,66 @@ def test_compiled_evaluation_of_deep_trees():
     for e in (total, waves, Binary("mul", total, waves)):
         for point in ([0.5, -1.5], [3.0, 1e-3], [2.0]):
             assert _outcome(compile_expr(e), point) == _outcome(_reference, e, point)
+
+
+# -- the sign rule of g's rows -------------------------------------------------------
+
+def _classify_reference(a, b):
+    """The sign case of an open enclosure (a, b) of a partial derivative, by
+    the four-way rule stated apart from the row builder.
+
+    a >= 0 wins CASE1 even with b infinite; b <= 0 wins CASE4 likewise; the
+    sign-unstable tie |a| = |b| goes to CASE2.  A finite point enclosure
+    a == b, a constant derivative enclosed with no slack, is sign-stable.
+    ValueError where (a, b) is NaN, (-inf, inf), or no open enclosure.
+    """
+    if a < b and (a > -math.inf or b < math.inf):  # neither NaN, not (-inf, inf)
+        if a >= 0.0:
+            return "case1"
+        if b <= 0.0:
+            return "case4"
+        return "case2" if abs(a) <= abs(b) else "case3"
+    if a == b and math.isfinite(a):
+        return "case1" if a >= 0.0 else "case4"
+    raise ValueError(f"({a}, {b}) cannot be classified")
+
+
+_ENDS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf]))
+
+
+@st.composite
+def _enclosures(draw):
+    """(a, b) of any two ends, a tie (-a, a) or a point (a, a)."""
+    a = draw(_ENDS)
+    kind = draw(st.sampled_from(["any", "tie", "point"]))
+    return a, (draw(_ENDS) if kind == "any" else -a if kind == "tie" else a)
+
+
+@PROPERTY
+@given(_enclosures(), st.sampled_from([0.0, 0.25, 1e308]))
+@example((-2.0, 2.0), 0.0)
+@example((-math.inf, 1.0), 0.0)
+@example((-1.0, math.inf), 0.0)
+@example((-1.7e308, 1.7e308), 1e308)  # the offset |a| + eps overflows
+def test_row_of_one_entry_reads_its_case(pair, epsilon):
+    # the selector and offset of g's row against the case of the reference
+    a, b = pair
+    try:
+        case = _classify_reference(a, b)
+    except ValueError:
+        # (-inf, inf) is an interval no row reads; the rest are no interval
+        whole_line = (a, b) == (-math.inf, math.inf)
+        with pytest.raises(UnboundedDerivativeError if whole_line else ValueError):
+            build_decomposition([[(a, b)]], epsilon)
+        return
+    offset = {"case2": abs(a), "case3": abs(b)}.get(case)
+    if offset is not None and offset + epsilon == math.inf:
+        with pytest.raises(UnboundedDerivativeError, match="overflows"):
+            build_decomposition([[(a, b)]], epsilon)
+        return
+    (first,), terms = build_decomposition([[(a, b)]], epsilon).rows[0]
+    assert first == (case in ("case1", "case2")), (a, b)
+    assert terms == (() if offset is None else ((0, offset + epsilon),)), (a, b)
 
 
 # -- decomposition kernel ------------------------------------------------------------
@@ -457,7 +518,7 @@ def test_refine_bounds_contains_field(case, depth, epsilon, fractions):
     f, box = case
     try:
         bounds = refine_bounds(f, box, depth, epsilon)
-    except (UnboundedDerivativeError, InvalidBoundsError, EvalError, ValueError):
+    except (UnboundedDerivativeError, EvalError, ValueError):
         # no bracket printed, so nothing to contain
         return
     for ts in fractions:
@@ -481,7 +542,7 @@ def test_decomposition_is_monotone_on_its_box(case, epsilon, fractions):
     f, box = case
     try:
         spec = build_decomposition(jacobian_bounds(f, box), epsilon)
-    except (UnboundedDerivativeError, InvalidBoundsError):
+    except UnboundedDerivativeError:
         return  # no decomposition, so nothing to order
     a, b, c, d = (_in_box(box, ts) for ts in fractions)
     low, high = [min(u, v) for u, v in zip(a, b)], [max(u, v) for u, v in zip(a, b)]
