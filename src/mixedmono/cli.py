@@ -62,7 +62,8 @@ from .jordan import (DEFAULT_MAX_CELLS, MIN_CELLS, ScalarFunction, jordan_split,
 # reach keeps every RK4 step of the tube in memory, and tv every point of
 # its --grid: at most this many
 MAX_STEPS = 1_000_000
-# bound visits up to 2^depth boxes: about as many as reach's steps
+# bound brackets at most 2^(depth+1) - 1 boxes, about twice reach's steps,
+# and none below a box whose rows have no term
 MAX_DEPTH = 20
 
 
@@ -273,7 +274,7 @@ def cmd_bound(args) -> int:
     cfg = parse_config(args.config)
     opts = _merged(cfg.options, args)
     # the --check grid: about 10^4 points, at least 2 per axis, and no more
-    # than the 2^MAX_DEPTH boxes that bound may visit
+    # than 2^MAX_DEPTH, about half the boxes that bound may bracket
     n = cfg.domain.n
     per_axis = max(2, int(round(10000 ** (1.0 / n))))
     if args.check and per_axis ** n > 2 ** MAX_DEPTH:

@@ -21,6 +21,11 @@ code (expr.lower_decomposition) that returns g(x, y) and g(y, x) together;
 decomposition_kernel binds it to the rows of a spec and _bracket to the rows
 of each box, and neither compiles anything.  eval_decomposition, bound_box,
 refine_bounds and the embedding system all run it.
+
+A box whose rows have no term is sign-stable in every entry, so f is
+monotone in each variable there and its bracket is f at two corners:
+refine_bounds does not bisect below it, because its halves would give the
+same bracket again.
 """
 
 from __future__ import annotations
@@ -173,7 +178,19 @@ def refine_bounds(f: VectorField, box: BoxDomain, depth: int, epsilon: float = 0
     box.  Deeper levels split the widest axis at its midpoint, recurse one
     level shallower on each half, hull the child bounds componentwise, and
     intersect with this box's own depth-0 bound, so bounds are nested as
-    depth grows.
+    depth grows.  So at most 2^(depth+1) - 1 boxes get a bracket.
+
+    A box where no row of g has an offset term is not split, whatever depth
+    is left: its bound is its depth-0 bracket, f at two of its corners.
+    Splitting it gives the same result.  Natural interval extension is
+    inclusion isotone, so each half gets a subset of each enclosure and
+    again no term.  The half that holds a corner chosen by the box's
+    bracket evaluates f at that same float point, so the hull of the
+    halves, intersected with the box's bracket, is that bracket.  A half
+    whose entry overflows to the whole line raises, and the box's bracket
+    is kept there anyway.  The one exception is a half whose bracket
+    rounding disorders (f is monotone there only up to rounding): splitting
+    raised ValueError there, and the box's bracket is returned instead.
 
     The recursion runs on lists of box endpoints and bracket endpoints, and
     makes Intervals only for the result.  On each box one run of the
@@ -210,9 +227,9 @@ def refine_bounds(f: VectorField, box: BoxDomain, depth: int, epsilon: float = 0
 
 def _refine(f: VectorField, lo: list[float], hi: list[float], depth: int, epsilon: float,
             slack: float) -> list[tuple[float, float]]:
-    parent = _bracket(f, lo, hi, epsilon, slack)
-    if depth == 0:
-        return parent
+    parent, live = _bracket(f, lo, hi, epsilon, slack)
+    if depth == 0 or not live:
+        return parent  # no row has a term: the halves would give the parent again
     widths = [b - a for a, b in zip(lo, hi)]
     k = widths.index(max(widths))  # the widest axis; ties go to the lowest index
     if widths[k] == 0.0:
@@ -230,11 +247,16 @@ def _refine(f: VectorField, lo: list[float], hi: list[float], depth: int, epsilo
 
 
 def _bracket(f: VectorField, lo: list[float], hi: list[float], epsilon: float,
-             slack: float) -> list[tuple[float, float]]:
-    """Depth-0 bracket endpoints over the box [lo, hi]."""
-    rows = [_classified_row(i, row, epsilon)
-            for i, row in enumerate(f.jacobian_ranges(lo, hi, slack))]
-    return _checked_bracket(f.g_factory(rows)(lo + hi, True), f.m)
+             slack: float) -> tuple[list[tuple[float, float]], bool]:
+    """Depth-0 bracket endpoints over the box [lo, hi], and whether any row of
+    g there has an offset term."""
+    rows, live = [], False
+    for i, row in enumerate(f.jacobian_ranges(lo, hi, slack)):
+        first, terms = _classified_row(i, row, epsilon)
+        rows.append((first, terms))
+        if terms:
+            live = True
+    return _checked_bracket(f.g_factory(rows)(lo + hi, True), f.m), live
 
 
 def _checked_bracket(g: list[float], m: int) -> list[tuple[float, float]]:

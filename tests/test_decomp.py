@@ -248,6 +248,27 @@ def test_refine_splits_a_box_whose_midpoint_overflows(depth):
             assert iv.lo <= v <= iv.hi
 
 
+@pytest.mark.parametrize("components, bounds, slack, calls", [
+    (["-x1"], (0, 1), 1e-9, 1),  # case 4 on the box: no half is visited
+    (["x1^2"], (-1, 1), 0.0, 3),  # each half is sign-stable
+    # x1 - x1 encloses (-slack, slack) on every box, so every box has a term
+    (["-x1", "x1 - x1"], (0, 1), 1e-9, 127),
+])
+def test_refine_stops_below_a_box_whose_rows_have_no_term(monkeypatch, components, bounds,
+                                                           slack, calls):
+    boxes = []
+    ranges = VectorField.jacobian_ranges
+
+    def counting(self, lo, hi, *args):
+        boxes.append((lo, hi))
+        return ranges(self, lo, hi, *args)
+
+    monkeypatch.setattr(VectorField, "jacobian_ranges", counting)
+    f = VectorField.from_strings(components, 1)
+    refine_bounds(f, BoxDomain.from_bounds([bounds]), 6, slack=slack)
+    assert len(boxes) == calls
+
+
 def test_refine_validates_depth():
     f = VectorField.from_strings(["x1"], 1)
     with pytest.raises(ValueError):

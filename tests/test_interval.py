@@ -109,6 +109,18 @@ def test_division_extended():
     assert iv_div(1, 2, -1, 0) == (-INF, -1.0)
 
 
+@pytest.mark.parametrize("num, den, quotient", [
+    ((0, 1), (0, 1), (0.0, INF)),
+    ((-1, 0), (0, 1), (-INF, 0.0)),
+    ((0, 1), (-1, 0), (-INF, -0.0)),
+    ((-1, 0), (-1, 0), (-0.0, INF)),
+])
+def test_division_of_half_lines_keeps_the_sign_of_zero(num, den, quotient):
+    got = iv_div(*num, *den)
+    assert got == quotient
+    assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in quotient]
+
+
 def test_abs_min_max_sign_step():
     assert iv_abs(-3, 2) == (0, 3)
     assert iv_abs(1, 2) == (1, 2)

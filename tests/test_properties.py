@@ -17,8 +17,8 @@ from mixedmono import (Binary, BlowupError, BoxDomain, Const, DecompositionSpec,
                        integrate_embedding, jacobian_bounds, jordan_split, refine_bounds,
                        total_variation)
 from mixedmono.expr import compile_expr
-from mixedmono.interval import (iv_abs, iv_add, iv_cos, iv_div, iv_exp, iv_max, iv_min, iv_mul,
-                                iv_neg, iv_power, iv_sign, iv_sin, iv_step, iv_sub)
+from mixedmono.interval import (iv_abs, iv_add, iv_cos, iv_div, iv_exp, iv_max, iv_mid, iv_min,
+                                iv_mul, iv_neg, iv_power, iv_sign, iv_sin, iv_step, iv_sub)
 
 N = 3
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -494,13 +494,38 @@ _SLACKS = st.sampled_from([1e-9, 1e-9, 1e-9, 0.0])
 
 
 @settings(PROPERTY, max_examples=120)
-@given(_bounded_fields(), st.integers(0, 3), _EPSILONS, _SLACKS)
+@given(_bounded_fields(), st.integers(0, 5), _EPSILONS, _SLACKS)
 @example((VectorField.from_strings(["x1*x2"], 2),  # the children's hull leaves the parent
           BoxDomain.from_bounds([(0.0, 1.0), (-2.0, 1.0)])), 1, 0.0, 1e-9)
+# boxes below the root whose rows have no term, where refine_bounds stops
+@example((VectorField.from_strings(["x1^2"], 1), BoxDomain.from_bounds([(-1.0, 1.0)])),
+         4, 0.0, 0.0)
+@example((VectorField.from_strings(["x1*sin(1.90439*x1) + 0.103209*x1^2"], 1),
+          BoxDomain.from_bounds([(-3.0653, 3.0653)])), 5, 0.0, 0.0)
 def test_refine_bounds_matches_reference_bisection(case, depth, epsilon, slack):
     f, box = case
     assert (_endpoints(refine_bounds, f, box, depth, epsilon, slack)
             == _endpoints(_refine_reference, f, box, depth, epsilon, slack))
+
+
+@settings(PROPERTY, max_examples=150)
+@given(_bounded_fields())
+# the upper half's entry overflows to the whole line where the box's is (-0.25, -0.0)
+@example((VectorField.from_strings(["x1^-1"], 1), BoxDomain.from_bounds([(2.0, 1e155)])))
+def test_jacobian_ranges_on_a_half_lie_inside_the_box(case):
+    # inclusion isotonicity, on which refine_bounds' stop below a box with no
+    # term rests; an entry that overflows to (-inf, inf) on a half is skipped
+    f, box = case
+    lo, hi = box.lower_corner(), box.upper_corner()
+    whole = f.jacobian_ranges(lo, hi, 0.0)
+    widths = box.widths()
+    k = widths.index(max(widths))
+    mid = iv_mid(lo[k], hi[k])
+    for half_lo, half_hi in ((lo, hi[:k] + [mid] + hi[k + 1:]), (lo[:k] + [mid] + lo[k + 1:], hi)):
+        for row, whole_row in zip(f.jacobian_ranges(half_lo, half_hi, 0.0), whole):
+            for (a, b), (wa, wb) in zip(row, whole_row):
+                if (a, b) != (-math.inf, math.inf):
+                    assert wa <= a <= b <= wb, (half_lo, half_hi)
 
 
 def _jump_field(text):
